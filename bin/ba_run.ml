@@ -103,6 +103,32 @@ let print_rates ~label (rates : Baexperiments.Common.rates) =
   Printf.printf "mean removals : %.2f\n" (mean_removals rates);
   Printf.printf "mean corrupt  : %.2f\n" (mean_corruptions rates)
 
+(* Parameter checks made before any run, so a bad configuration exits
+   1 with one line instead of an uncaught exception from deep inside a
+   constructor. The first violated rule is reported. *)
+let parameter_error proto ~n ~budget ~lambda ~epochs ~reps ~jobs =
+  let rules =
+    [ (n >= 1, Printf.sprintf "-n must be at least 1 (got %d)" n);
+      ( budget >= 0 && budget <= n,
+        Printf.sprintf "--budget must be between 0 and n = %d (got %d)" n budget );
+      (lambda >= 1, Printf.sprintf "--lambda must be at least 1 (got %d)" lambda);
+      (epochs >= 1, Printf.sprintf "--epochs must be at least 1 (got %d)" epochs);
+      (reps >= 1, Printf.sprintf "--reps must be at least 1 (got %d)" reps);
+      ( (match jobs with Some j -> j >= 1 | None -> true),
+        Printf.sprintf "--jobs must be at least 1 (got %d)"
+          (Option.value jobs ~default:0) );
+      ( proto <> P_quadratic || (n >= 3 && n mod 2 = 1),
+        Printf.sprintf "quadratic-hm needs an odd n of at least 3 (got %d)" n );
+      ( proto <> P_static_committee || lambda <= n,
+        Printf.sprintf
+          "static-committee needs --lambda (the committee size) at most n = %d \
+           (got %d)"
+          n lambda );
+      ( proto <> P_sparse_relay || n > 3,
+        Printf.sprintf "sparse-relay needs n of at least 4 (got %d)" n ) ]
+  in
+  List.find_map (fun (ok, msg) -> if ok then None else Some msg) rules
+
 (* Each protocol has its own message type, so the dispatch instantiates
    engine, adversary, and printer together. *)
 let dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
@@ -478,16 +504,6 @@ let jobs_arg =
            the machine's recommended domain count). Aggregates are \
            byte-identical for every $(docv).")
 
-let intra_jobs_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "intra-jobs" ] ~docv:"N"
-        ~doc:
-          "Shard each round's honest-step phase across $(docv) domains \
-           inside every execution (default: BA_INTRA_JOBS or 1). Traces, \
-           metrics and series are byte-identical for every $(docv).")
-
 let trace_arg =
   Arg.(value & flag & info [ "trace" ] ~doc:"Print a per-round event trace.")
 
@@ -588,15 +604,8 @@ let lenient_caps_arg =
            or budget.")
 
 let main proto adv n budget lambda epochs inputs_choice seed reps jobs
-    intra_jobs sparse trace trace_jsonl metrics_json profile_json resource_json
+    sparse trace trace_jsonl metrics_json profile_json resource_json
     causal causal_json timings check_trace lenient_caps =
-  (match intra_jobs with
-  | Some j when j >= 1 -> Engine.set_intra_jobs j
-  | Some j ->
-      prerr_endline
-        (Printf.sprintf "ba_run: --intra-jobs must be >= 1 (got %d)" j);
-      exit 1
-  | None -> ());
   (* Reject doomed output destinations before the run, not after it:
      --metrics-json and --profile-json only open their file once the
      (possibly long) execution has completed. *)
@@ -615,8 +624,15 @@ let main proto adv n budget lambda epochs inputs_choice seed reps jobs
         ("--resource-json", resource_json);
         ("--causal-json", causal_json) ]
   in
+  let param_error =
+    parameter_error proto ~n ~budget ~lambda ~epochs ~reps ~jobs
+  in
   if path_errors <> [] then begin
     List.iter (fun e -> prerr_endline ("ba_run: " ^ e)) path_errors;
+    1
+  end
+  else if Option.is_some param_error then begin
+    prerr_endline ("ba_run: " ^ Option.get param_error);
     1
   end
   else if
@@ -643,7 +659,7 @@ let cmd =
     Term.(
       const main $ proto_arg $ adv_arg $ n_arg $ budget_arg $ lambda_arg
       $ epochs_arg $ inputs_arg $ seed_arg $ reps_arg $ jobs_arg
-      $ intra_jobs_arg $ sparse_arg $ trace_arg $ trace_jsonl_arg
+      $ sparse_arg $ trace_arg $ trace_jsonl_arg
       $ metrics_json_arg
       $ profile_json_arg $ resource_json_arg $ causal_arg $ causal_json_arg
       $ timings_arg $ check_trace_arg $ lenient_caps_arg)

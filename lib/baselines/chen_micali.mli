@@ -28,7 +28,7 @@ type env = {
   fs : Bacrypto.Forward_secure.scheme;
   erasure : bool;            (** the memory-erasure assumption *)
   fmine : Bafmine.Fmine.t option;
-  conflicts : int Atomic.t;
+  mutable conflicts : int;
       (** within-epoch ample-ACKs-for-both-bits observations, as in
           {!Bacore.Sub_third} *)
 }

@@ -48,9 +48,6 @@ type env = {
       (* positive verification results, shared across receivers (sound:
          signature verification is deterministic) *)
   proposal_cache : (proposal, unit) Hashtbl.t;  (* same, for proposals *)
-  cache_lock : Mutex.t;
-      (* guards both caches when the engine shards the step phase across
-         domains; verification runs outside the lock *)
 }
 
 module Iset = Set.Make (Int)
@@ -93,7 +90,7 @@ let terminate_stmt ~iter ~bit =
 (* Certificate validity: f+1 distinct valid iteration-r vote signatures.
    Positive results are cached in the env — deterministic and monotone. *)
 let valid_cert env (cert : vote_cert) =
-  Mutex.protect env.cache_lock (fun () -> Hashtbl.mem env.cert_cache cert)
+  Hashtbl.mem env.cert_cache cert
   ||
   let stmt = vote_stmt ~iter:cert.Cert.iter ~bit:cert.Cert.bit in
   let ok =
@@ -102,9 +99,7 @@ let valid_cert env (cert : vote_cert) =
         Signature.verify_batch env.sigs
           (List.map (fun (node, tag) -> (node, stmt, tag)) entries))
   in
-  if ok then
-    Mutex.protect env.cache_lock (fun () ->
-        Hashtbl.replace env.cert_cache cert ());
+  if ok then Hashtbl.replace env.cert_cache cert ();
   ok
 
 let valid_cert_opt env = function None -> true | Some c -> valid_cert env c
@@ -114,7 +109,7 @@ let valid_cert_opt env = function None -> true | Some c -> valid_cert env c
    the proposed bit, from an earlier iteration. *)
 let valid_proposal env ~iter (p : proposal) =
   p.p_iter = iter
-  && (Mutex.protect env.cache_lock (fun () -> Hashtbl.mem env.proposal_cache p)
+  && (Hashtbl.mem env.proposal_cache p
      ||
      let ok =
        Signature.verify env.sigs
@@ -126,9 +121,7 @@ let valid_proposal env ~iter (p : proposal) =
           | None -> true
           | Some c -> c.Cert.bit = p.p_bit && c.Cert.iter < iter)
      in
-     if ok then
-       Mutex.protect env.cache_lock (fun () ->
-           Hashtbl.replace env.proposal_cache p ());
+     if ok then Hashtbl.replace env.proposal_cache p ();
      ok)
 
 (* Vote validity: properly signed by its sender and — from iteration 2 on —
@@ -266,8 +259,7 @@ let protocol ?(max_iters = 40) () =
       leaders;
       max_iters;
       cert_cache = Hashtbl.create 256;
-      proposal_cache = Hashtbl.create 64;
-      cache_lock = Mutex.create () }
+      proposal_cache = Hashtbl.create 64 }
   in
   let init _env ~rng ~n:_ ~me ~input =
     { me;

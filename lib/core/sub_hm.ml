@@ -44,6 +44,18 @@ let msg_kind = function
   | Commit _ -> "commit"
   | Terminate _ -> "terminate"
 
+(* Per-env hash-consing tables for the receiver hot path. Plain
+   tables: phase 1 is sequential and each trial owns its env. *)
+type interns = {
+  strings : string array;
+      (* mining strings, filled on first use; [""] marks an empty slot.
+         Slot [((iter * 4) + kind) * 2 + bit] for iterations
+         [0, max_iter], then the two Terminate strings. *)
+  max_iter : int;
+  certs : (elig_cert, elig_cert) Hashtbl.t;
+      (* the canonical copy of every honest-built certificate *)
+}
+
 type env = {
   n : int;
   params : Params.t;
@@ -56,10 +68,7 @@ type env = {
          deterministic, so a certificate that verified once verifies
          forever *)
   proposal_cache : (proposal, unit) Hashtbl.t;  (* same, for proposals *)
-  cache_lock : Mutex.t;
-      (* guards both caches when the engine shards the step phase across
-         domains; verification itself runs outside the lock (results are
-         deterministic, so a racing duplicate check is harmless) *)
+  interns : interns;
 }
 
 module Iset = Set.Make (Int)
@@ -80,6 +89,53 @@ let mining_string kind ~iter ~bit =
 
 let terminate_mining_string ~bit = Printf.sprintf "shm:Terminate:%d" (bit_int bit)
 
+let kind_index = function `Status -> 0 | `Propose -> 1 | `Vote -> 2 | `Commit -> 3
+
+let fill strings slot s =
+  Array.unsafe_set strings slot s;
+  s
+
+let interned_mining_string env kind ~iter ~bit =
+  let t = env.interns in
+  if iter < 0 || iter > t.max_iter then mining_string kind ~iter ~bit
+  else
+    let slot = (((iter * 4) + kind_index kind) * 2) + bit_int bit in
+    let s = Array.unsafe_get t.strings slot in
+    if String.length s > 0 then s
+    else fill t.strings slot (mining_string kind ~iter ~bit)
+
+let interned_terminate_string env ~bit =
+  let t = env.interns in
+  let slot = ((t.max_iter + 1) * 8) + bit_int bit in
+  let s = Array.unsafe_get t.strings slot in
+  if String.length s > 0 then s
+  else fill t.strings slot (terminate_mining_string ~bit)
+
+let make_env ~n ~params ~elig ~pki ~fmine =
+  let max_iter = params.Params.max_epochs + 1 in
+  { n;
+    params;
+    elig;
+    pki;
+    fmine;
+    cert_cache = Hashtbl.create 256;
+    proposal_cache = Hashtbl.create 64;
+    interns =
+      { strings = Array.make (((max_iter + 1) * 8) + 2) "";
+        max_iter;
+        certs = Hashtbl.create 64 } }
+
+(* Hash-consing of honest-built certificates: every structurally equal
+   copy resolves to one canonical value, so [cert_cache] hits on it
+   compare by physical equality. *)
+let make_cert env ~iter ~bit ~endorsements =
+  let c = Cert.make ~iter ~bit ~endorsements in
+  match Hashtbl.find_opt env.interns.certs c with
+  | Some canonical -> canonical
+  | None ->
+      Hashtbl.add env.interns.certs c c;
+      c
+
 let committee_probability env = Params.ack_probability env.params ~n:env.n
 
 let propose_probability env = Params.propose_probability ~n:env.n
@@ -93,7 +149,7 @@ let verify_ticket env ~node ~msg ~p cred =
    results are cached in the env — every receiver checks the same
    certificate value, and validity is monotone. *)
 let valid_cert env (cert : elig_cert) =
-  Mutex.protect env.cache_lock (fun () -> Hashtbl.mem env.cert_cache cert)
+  Hashtbl.mem env.cert_cache cert
   ||
   let ok =
     (* all endorsements share one mining string and difficulty, so the
@@ -101,37 +157,35 @@ let valid_cert env (cert : elig_cert) =
     Cert.well_formed_batch cert ~quorum:(quorum env)
       ~check_all:
         (env.elig.Eligibility.verify_many
-           ~msg:(mining_string `Vote ~iter:cert.Cert.iter ~bit:cert.Cert.bit)
+           ~msg:
+             (interned_mining_string env `Vote ~iter:cert.Cert.iter
+                ~bit:cert.Cert.bit)
            ~p:(committee_probability env))
   in
-  if ok then
-    Mutex.protect env.cache_lock (fun () ->
-        Hashtbl.replace env.cert_cache cert ());
+  if ok then Hashtbl.replace env.cert_cache cert ();
   ok
 
 let valid_cert_opt env = function None -> true | Some c -> valid_cert env c
 
 let valid_proposal env ~iter (p : proposal) =
   p.p_iter = iter
-  && (Mutex.protect env.cache_lock (fun () -> Hashtbl.mem env.proposal_cache p)
+  && (Hashtbl.mem env.proposal_cache p
      ||
      let ok =
        verify_ticket env ~node:p.p_node
-         ~msg:(mining_string `Propose ~iter ~bit:p.p_bit)
+         ~msg:(interned_mining_string env `Propose ~iter ~bit:p.p_bit)
          ~p:(propose_probability env) p.p_cred
        && valid_cert_opt env p.p_cert
        && (match p.p_cert with
           | None -> true
           | Some c -> c.Cert.bit = p.p_bit && c.Cert.iter < iter)
      in
-     if ok then
-       Mutex.protect env.cache_lock (fun () ->
-           Hashtbl.replace env.proposal_cache p ());
+     if ok then Hashtbl.replace env.proposal_cache p ();
      ok)
 
 let valid_vote env ~sender ~iter ~bit ~proposal ~cred =
   verify_ticket env ~node:sender
-    ~msg:(mining_string `Vote ~iter ~bit)
+    ~msg:(interned_mining_string env `Vote ~iter ~bit)
     ~p:(committee_probability env) cred
   && (if iter = 1 then true
       else
@@ -141,18 +195,18 @@ let valid_vote env ~sender ~iter ~bit ~proposal ~cred =
 
 let valid_commit env ~sender ~iter ~bit ~cert ~cred =
   verify_ticket env ~node:sender
-    ~msg:(mining_string `Commit ~iter ~bit)
+    ~msg:(interned_mining_string env `Commit ~iter ~bit)
     ~p:(committee_probability env) cred
   && valid_cert env cert
   && cert.Cert.iter = iter && cert.Cert.bit = bit
 
 let valid_terminate env ~sender ~iter ~bit ~commits ~cred =
-  verify_ticket env ~node:sender ~msg:(terminate_mining_string ~bit)
+  verify_ticket env ~node:sender ~msg:(interned_terminate_string env ~bit)
     ~p:(committee_probability env) cred
   &&
   let oks =
     env.elig.Eligibility.verify_many
-      ~msg:(mining_string `Commit ~iter ~bit)
+      ~msg:(interned_mining_string env `Commit ~iter ~bit)
       ~p:(committee_probability env) commits
   in
   let distinct =
@@ -246,7 +300,7 @@ let absorb env l ~iter_of_round ~sender msg =
         (* build the certificate once, when the quorum is first reached *)
         let endorsements = Hashtbl.find l.votes (iter, bit) in
         if List.length endorsements = Params.hm_quorum env.params then
-          absorb_cert l (Some (Cert.make ~iter ~bit ~endorsements))
+          absorb_cert l (Some (make_cert env ~iter ~bit ~endorsements))
       end
   | Commit { iter; bit; cert; cred } ->
       if valid_commit env ~sender ~iter ~bit ~cert ~cred then begin
@@ -266,10 +320,11 @@ let absorb env l ~iter_of_round ~sender msg =
 let conditionally env state ~kind ~iter ~bit ~build =
   let msg_str, p =
     match kind with
-    | `Propose -> (mining_string `Propose ~iter ~bit, propose_probability env)
-    | `Terminate -> (terminate_mining_string ~bit, committee_probability env)
+    | `Propose ->
+        (interned_mining_string env `Propose ~iter ~bit, propose_probability env)
+    | `Terminate -> (interned_terminate_string env ~bit, committee_probability env)
     | (`Status | `Vote | `Commit) as k ->
-        (mining_string k ~iter ~bit, committee_probability env)
+        (interned_mining_string env k ~iter ~bit, committee_probability env)
   in
   match env.elig.Eligibility.mine ~node:state.me ~msg:msg_str ~p with
   | Some cred -> [ Basim.Engine.multicast (build cred) ]
@@ -367,7 +422,7 @@ let step env state ~round ~inbox =
                 if List.length vs >= quorum env && opposite = [] then
                   (* a certificate is exactly λ/2 votes; don't ship more *)
                   let vs = List.filteri (fun i _ -> i < quorum env) vs in
-                  let cert = Cert.make ~iter ~bit:b ~endorsements:vs in
+                  let cert = make_cert env ~iter ~bit:b ~endorsements:vs in
                   Some
                     (conditionally env state ~kind:`Commit ~iter ~bit:b
                        ~build:(fun cred -> Commit { iter; bit = b; cert; cred }))
@@ -388,24 +443,12 @@ let protocol ~params ~world =
     match world with
     | `Hybrid ->
         let fmine = Fmine.create rng in
-        { n;
-          params;
-          elig = Eligibility.hybrid fmine;
-          pki = None;
-          fmine = Some fmine;
-          cert_cache = Hashtbl.create 256;
-          proposal_cache = Hashtbl.create 64;
-          cache_lock = Mutex.create () }
+        make_env ~n ~params ~elig:(Eligibility.hybrid fmine) ~pki:None
+          ~fmine:(Some fmine)
     | `Real ->
         let pki = Bacrypto.Pki.setup ~n rng in
-        { n;
-          params;
-          elig = Compiler.real_world pki;
-          pki = Some pki;
-          fmine = None;
-          cert_cache = Hashtbl.create 256;
-          proposal_cache = Hashtbl.create 64;
-          cache_lock = Mutex.create () }
+        make_env ~n ~params ~elig:(Compiler.real_world pki) ~pki:(Some pki)
+          ~fmine:None
   in
   let cred_bits env c = env.elig.Eligibility.credential_bits c in
   let cert_bits env c =
@@ -511,7 +554,7 @@ let sparse_step () : (env, state, msg) Basim.Engine.sparse_step =
     let act =
       match c.cl.pending with
       | Some (t_iter, bit, commits) ->
-          let ms = terminate_mining_string ~bit in
+          let ms = interned_terminate_string env ~bit in
           fun st ->
             st.out <- Some bit;
             st.stopped <- true;
@@ -531,13 +574,13 @@ let sparse_step () : (env, state, msg) Basim.Engine.sparse_step =
                 match best with
                 | Some cc ->
                     let bit = cc.Cert.bit in
-                    let ms = mining_string `Status ~iter ~bit in
+                    let ms = interned_mining_string env `Status ~iter ~bit in
                     fun st ->
                       sample st ms p_committee (fun cred ->
                           Status { iter; bit; cert = best; cred })
                 | None ->
-                    let ms0 = mining_string `Status ~iter ~bit:false in
-                    let ms1 = mining_string `Status ~iter ~bit:true in
+                    let ms0 = interned_mining_string env `Status ~iter ~bit:false in
+                    let ms1 = interned_mining_string env `Status ~iter ~bit:true in
                     fun st ->
                       let bit = st.input in
                       sample st (if bit then ms1 else ms0) p_committee
@@ -546,7 +589,7 @@ let sparse_step () : (env, state, msg) Basim.Engine.sparse_step =
                 let r0 = Cert.rank c.cl.best0 and r1 = Cert.rank c.cl.best1 in
                 let p_prop = propose_probability env in
                 let for_bit bit st =
-                  sample st (mining_string `Propose ~iter ~bit) p_prop
+                  sample st (interned_mining_string env `Propose ~iter ~bit) p_prop
                     (fun cred ->
                       make_propose ~iter ~bit ~cert:(best_for c.cl bit)
                         ~node:st.me ~cred)
@@ -560,8 +603,8 @@ let sparse_step () : (env, state, msg) Basim.Engine.sparse_step =
                   for_bit (Bacrypto.Rng.bool st.rng) st
             | Quadratic_hm.Phase_vote _ ->
                 if iter = 1 then begin
-                  let ms0 = mining_string `Vote ~iter ~bit:false in
-                  let ms1 = mining_string `Vote ~iter ~bit:true in
+                  let ms0 = interned_mining_string env `Vote ~iter ~bit:false in
+                  let ms1 = interned_mining_string env `Vote ~iter ~bit:true in
                   fun st ->
                     let bit = st.input in
                     sample st (if bit then ms1 else ms0) p_committee
@@ -582,7 +625,7 @@ let sparse_step () : (env, state, msg) Basim.Engine.sparse_step =
                       in
                       if Cert.rank (best_for c.cl (not b)) <= Cert.rank p.p_cert
                       then
-                        let ms = mining_string `Vote ~iter ~bit:b in
+                        let ms = interned_mining_string env `Vote ~iter ~bit:b in
                         fun st ->
                           sample st ms p_committee (fun cred ->
                               make_vote ~iter ~bit:b ~proposal:(Some p) ~cred)
@@ -599,8 +642,8 @@ let sparse_step () : (env, state, msg) Basim.Engine.sparse_step =
                 let plan b vs opposite =
                   if List.length vs >= quorum env && opposite = [] then begin
                     let vs = List.filteri (fun i _ -> i < quorum env) vs in
-                    let cert = Cert.make ~iter ~bit:b ~endorsements:vs in
-                    let ms = mining_string `Commit ~iter ~bit:b in
+                    let cert = make_cert env ~iter ~bit:b ~endorsements:vs in
+                    let ms = interned_mining_string env `Commit ~iter ~bit:b in
                     Some
                       (fun st ->
                         sample st ms p_committee (fun cred ->

@@ -72,6 +72,11 @@ val msg_kind : msg -> string
 (** Stable kind label for causal tracing: ["status"], ["propose"],
     ["vote"], ["commit"], or ["terminate"]. *)
 
+type interns
+(** Per-env hash-consing tables for the receiver hot path: the mining
+    strings (see {!interned_mining_string}) and one canonical copy of
+    each certificate an honest node builds. *)
+
 type env = {
   n : int;
   params : Params.t;
@@ -84,9 +89,18 @@ type env = {
           is deterministic and monotone; purely a simulation speedup) *)
   proposal_cache : (proposal, unit) Hashtbl.t;
       (** same, for proposals *)
-  cache_lock : Mutex.t;
-      (** guards both caches under the engine's sharded step phase *)
+  interns : interns;
 }
+
+val make_env :
+  n:int ->
+  params:Params.t ->
+  elig:Bafmine.Eligibility.t ->
+  pki:Bacrypto.Pki.t option ->
+  fmine:Bafmine.Fmine.t option ->
+  env
+(** An env with empty caches and intern tables — what {!protocol}'s
+    [make_env] builds around its world's eligibility oracle. *)
 
 type state
 
@@ -105,6 +119,16 @@ val mining_string : [ `Status | `Propose | `Vote | `Commit ] -> iter:int -> bit:
 
 val terminate_mining_string : bit:bool -> string
 (** Terminate tickets are per-bit, not per-iteration. *)
+
+val interned_mining_string :
+  env -> [ `Status | `Propose | `Vote | `Commit ] -> iter:int -> bit:bool -> string
+(** {!mining_string}, byte for byte, built once per env: the env's
+    table holds each string for iterations [0 .. max_epochs + 1] from
+    its first use on. Other iterations (an adversary may send any) are
+    built afresh. *)
+
+val interned_terminate_string : env -> bit:bool -> string
+(** {!terminate_mining_string}, built once per env. *)
 
 val committee_probability : env -> float
 (** [λ/n] — Status/Vote/Commit/Terminate difficulty. *)

@@ -20,7 +20,7 @@ let attack_run ~mode ~inputs_of ~n ~budget ~reps ~seed =
             ~adversary:(Baattacks.Equivocator.make ())
             ~n ~budget ~inputs ~max_rounds:14 ~seed:s
         in
-        (Atomic.get env.Sub_third.conflicts, Properties.agreement ~inputs result))
+        (env.Sub_third.conflicts, Properties.agreement ~inputs result))
   in
   { conflict_trials = List.length (List.filter (fun (c, _) -> c > 0) outcomes);
     mean_conflicts =

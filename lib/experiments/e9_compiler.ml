@@ -13,14 +13,7 @@ let coupled_protocols ~params ~n ~pki_seed =
     { base with
       Engine.make_env =
         (fun ~n:n' _rng ->
-          { Sub_hm.n = n';
-            params;
-            elig;
-            pki = pki_opt;
-            fmine = None;
-            cert_cache = Hashtbl.create 256;
-            proposal_cache = Hashtbl.create 64;
-            cache_lock = Mutex.create () }) }
+          Sub_hm.make_env ~n:n' ~params ~elig ~pki:pki_opt ~fmine:None) }
   in
   (with_env hybrid_elig None, with_env real_elig (Some pki))
 

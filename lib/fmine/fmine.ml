@@ -9,112 +9,77 @@ type t = {
          the sparse engine path probes every active node per round, and
          memoizing the losers would grow the table by O(n) per round —
          the exact heap growth the memory-flatness gate forbids *)
-  (* When the engine shards a round across domains, concurrent honest
-     steps mine and verify against one shared functionality. The lock
-     covers every table access; [mine] holds it across coin derivation
-     too so [successes] counts each distinct attempt exactly once.
-     Contention is negligible: within a round, nodes mine distinct
-     (node, msg) keys. *)
-  lock : Mutex.t;
 }
 
 let create rng =
   { coin_key = Bacrypto.Prf.cache (Bacrypto.Prf.gen rng);
     table = Hashtbl.create 1024;
     successes = 0;
-    sampled_losses = 0;
-    lock = Mutex.create () }
+    sampled_losses = 0 }
 
 let p_mine = Baobs.Probe.register "fmine.mine"
 
-let mine_unprobed t ~node ~msg ~p =
-  Mutex.protect t.lock (fun () ->
-      match Hashtbl.find_opt t.table (node, msg) with
-      | Some r ->
-          if r.prob <> p then
-            invalid_arg "Fmine.mine: same (node, msg) mined with a different p";
-          r.outcome
-      | None ->
-          (* Same bytes as [Printf.sprintf "%d|%s" node msg], minus the
-             format-string interpreter on the hot mining path. *)
-          let rho =
-            Bacrypto.Prf.eval_cached t.coin_key (string_of_int node ^ "|" ^ msg)
-          in
-          let outcome = Bacrypto.Prf.below_difficulty rho ~p in
-          Hashtbl.replace t.table (node, msg) { outcome; prob = p };
-          if outcome then t.successes <- t.successes + 1;
-          outcome)
-
-let mine t ~node ~msg ~p =
+(* The one coin-and-lookup path behind [mine] and [sample]: a recorded
+   attempt answers from the table; a fresh one flips the PRF coin, and
+   only a winner — or, with [~memo_losses], any outcome — is recorded.
+   Losers left out of the table are tallied in [sampled_losses], so
+   [attempts] still counts every coin flipped. *)
+let attempt t ~caller ~memo_losses ~node ~msg ~p =
   let t0 = Baobs.Probe.start () in
-  let outcome = mine_unprobed t ~node ~msg ~p in
+  let outcome =
+    match Hashtbl.find_opt t.table (node, msg) with
+    | Some r ->
+        if r.prob <> p then
+          invalid_arg (caller ^ ": same (node, msg) mined with a different p");
+        r.outcome
+    | None ->
+        (* Same bytes as [Printf.sprintf "%d|%s" node msg], minus the
+           format-string interpreter on the hot mining path. *)
+        let rho =
+          Bacrypto.Prf.eval_cached t.coin_key (string_of_int node ^ "|" ^ msg)
+        in
+        let outcome = Bacrypto.Prf.below_difficulty rho ~p in
+        if outcome || memo_losses then
+          Hashtbl.replace t.table (node, msg) { outcome; prob = p };
+        if outcome then t.successes <- t.successes + 1
+        else if not memo_losses then t.sampled_losses <- t.sampled_losses + 1;
+        outcome
+  in
   Baobs.Probe.stop p_mine t0;
   outcome
+
+let mine t ~node ~msg ~p =
+  attempt t ~caller:"Fmine.mine" ~memo_losses:true ~node ~msg ~p
 
 (* Identical coin to [mine] (same PRF, so [sample] and [mine] can never
    disagree on an outcome), but only {e winners} enter the table. Sound
    because [verify] answers [false] for absent entries and a losing
    attempt never yields a credential anyone could present — exactly
-   Figure 1's "unattempted mines verify as 0" read. Losers are tallied
-   in [sampled_losses] so [attempts] still counts every coin flipped. *)
+   Figure 1's "unattempted mines verify as 0" read. *)
 let sample t ~node ~msg ~p =
-  let t0 = Baobs.Probe.start () in
-  let outcome =
-    Mutex.protect t.lock (fun () ->
-        match Hashtbl.find_opt t.table (node, msg) with
-        | Some r ->
-            if r.prob <> p then
-              invalid_arg
-                "Fmine.sample: same (node, msg) mined with a different p";
-            r.outcome
-        | None ->
-            let rho =
-              Bacrypto.Prf.eval_cached t.coin_key
-                (string_of_int node ^ "|" ^ msg)
-            in
-            let outcome = Bacrypto.Prf.below_difficulty rho ~p in
-            if outcome then begin
-              Hashtbl.replace t.table (node, msg) { outcome; prob = p };
-              t.successes <- t.successes + 1
-            end
-            else t.sampled_losses <- t.sampled_losses + 1;
-            outcome)
-  in
-  Baobs.Probe.stop p_mine t0;
-  outcome
+  attempt t ~caller:"Fmine.sample" ~memo_losses:false ~node ~msg ~p
 
-let verify_unlocked t ~node ~msg =
+let verify t ~node ~msg =
   match Hashtbl.find_opt t.table (node, msg) with
   | Some r -> r.outcome
   | None -> false
 
-let verify t ~node ~msg =
-  Mutex.protect t.lock (fun () -> verify_unlocked t ~node ~msg)
-
 let verify_batch t entries =
-  match entries with
-  | [] -> []
-  | entries ->
-      Mutex.protect t.lock (fun () ->
-          List.map (fun (node, msg) -> verify_unlocked t ~node ~msg) entries)
+  List.map (fun (node, msg) -> verify t ~node ~msg) entries
 
-let attempts t =
-  Mutex.protect t.lock (fun () -> Hashtbl.length t.table + t.sampled_losses)
+let attempts t = Hashtbl.length t.table + t.sampled_losses
 
-let successes t = Mutex.protect t.lock (fun () -> t.successes)
+let successes t = t.successes
 
-let dump t =
-  Mutex.protect t.lock (fun () ->
-      Hashtbl.fold (fun key r acc -> (key, r.outcome) :: acc) t.table [])
+let dump t = Hashtbl.fold (fun key r acc -> (key, r.outcome) :: acc) t.table []
 
 let successes_for t ~prefix =
   let plen = String.length prefix in
-  Mutex.protect t.lock (fun () ->
-      Hashtbl.fold
-        (fun (_, msg) r acc ->
-          if
-            r.outcome && String.length msg >= plen
-            && String.equal (String.sub msg 0 plen) prefix
-          then acc + 1
-          else acc)
-        t.table 0)
+  Hashtbl.fold
+    (fun (_, msg) r acc ->
+      if
+        r.outcome && String.length msg >= plen
+        && String.equal (String.sub msg 0 plen) prefix
+      then acc + 1
+      else acc)
+    t.table 0

@@ -57,7 +57,7 @@ val verify : t -> node:int -> msg:string -> bool
 
 val verify_batch : t -> (int * string) list -> bool list
 (** [verify_batch t [(node, msg); ...] = List.map (fun (node, msg) ->
-    verify t ~node ~msg) ...], under a single lock acquisition. *)
+    verify t ~node ~msg) ...]. *)
 
 val attempts : t -> int
 (** Total number of distinct mining attempts so far — memoized {!mine}

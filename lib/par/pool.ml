@@ -8,8 +8,7 @@
 
    Completion is tracked per batch (not with a global pending counter)
    so that several driver domains may submit batches to one pool
-   concurrently: the trial-level pool's workers can themselves shard
-   intra-trial work onto a second pool without their waits entangling.
+   concurrently without their waits entangling.
 
    Each executor slot additionally keeps utilization counters (jobs
    run, queue-wait, busy time, per-domain minor words) for the
@@ -127,12 +126,6 @@ let create ~jobs =
 
 let size t = t.jobs
 
-let is_live t =
-  Mutex.lock t.lock;
-  let live = t.live in
-  Mutex.unlock t.lock;
-  live
-
 type worker_stats = {
   worker : int;
   jobs_run : int;
@@ -231,21 +224,3 @@ let map_reduce ~pool ~merge ~init jobs =
   Array.fold_left
     (fun acc outcome -> merge acc (join_outcome outcome))
     init (run_thunks pool jobs)
-
-(* Contiguous ascending chunks: chunk [c] of [chunks] covers
-   [n*c/chunks, n*(c+1)/chunks). Outcomes are joined in chunk-index
-   order, so the exception that surfaces is the one raised at the
-   globally smallest index — exactly what a sequential [f ~lo:0 ~hi:n]
-   would raise first. *)
-let shard ~pool ~n f =
-  if n > 0 then begin
-    let chunks = min (size pool) n in
-    if chunks <= 1 then f ~lo:0 ~hi:n
-    else
-      let thunks =
-        List.init chunks (fun c ->
-            let lo = n * c / chunks and hi = n * (c + 1) / chunks in
-            fun () -> f ~lo ~hi)
-      in
-      Array.iter join_outcome (run_thunks pool thunks)
-  end

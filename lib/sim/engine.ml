@@ -141,7 +141,7 @@ type ('env, 'state, 'msg) sparse_step =
 (* The compatibility shim: any legacy dense protocol as a sparse step.
    Iterating the active prefix in ascending order and emitting every
    step's sends reproduces the dense phase 1 exactly (the engine's own
-   dense path is this same loop, sharded). *)
+   dense path is this same loop). *)
 let sparse_of_step (proto : ('env, 'state, 'msg) protocol) :
     ('env, 'state, 'msg) sparse_step =
  fun env ~states rv ->
@@ -164,75 +164,8 @@ let p_step = Baobs.Probe.register "engine.honest_step"
 let p_adversary = Baobs.Probe.register "engine.adversary"
 let p_delivery = Baobs.Probe.register "engine.delivery"
 
-(* ------------------------------------------------------------------ *)
-(* Intra-trial parallelism: a process-wide pool for sharding the
-   honest-step phase of a round across domains. Defaults to 1 (fully
-   sequential); resolved from BA_INTRA_JOBS on first use, overridable
-   by [set_intra_jobs] (the CLIs' --intra-jobs flag) or per-run via
-   [run ~pool]. The pool is created lazily and cached per jobs value;
-   replacing the degree shuts the displaced pool down (joining its
-   worker domains) instead of leaking sleepers until process exit.
-   Shutting down under a concurrent trial is safe: [Pool.shutdown]
-   drains outstanding work, and a driver mid-batch on the old pool
-   drains its own queue, so its batch still completes — worst case its
-   remaining rounds shard sequentially. *)
-
-let intra_lock = Mutex.create ()
-
-let intra_jobs_ref : int option ref = ref None
-
-let intra_pool_ref : Bapar.Pool.t option ref = ref None
-
-let resolve_intra_jobs_locked () =
-  match !intra_jobs_ref with
-  | Some j -> j
-  | None ->
-      let j =
-        match Sys.getenv_opt "BA_INTRA_JOBS" with
-        | None -> 1
-        | Some s -> (
-            match int_of_string_opt (String.trim s) with
-            | Some j when j >= 1 -> j
-            | Some _ | None -> 1)
-      in
-      intra_jobs_ref := Some j;
-      j
-
-let intra_jobs () = Mutex.protect intra_lock resolve_intra_jobs_locked
-
-let set_intra_jobs j =
-  if j < 1 then invalid_arg "Engine.set_intra_jobs: jobs must be >= 1";
-  let displaced =
-    Mutex.protect intra_lock (fun () ->
-        match !intra_jobs_ref with
-        | Some cur when cur = j -> None
-        | Some _ | None ->
-            intra_jobs_ref := Some j;
-            let old = !intra_pool_ref in
-            intra_pool_ref := None;
-            old)
-  in
-  (* Join the displaced workers outside the lock: [Pool.shutdown] blocks
-     on Domain.join, and workers never take [intra_lock], but a caller
-     racing [intra_pool] must not wait behind the join. *)
-  match displaced with None -> () | Some p -> Bapar.Pool.shutdown p
-
-let intra_pool () =
-  Mutex.protect intra_lock (fun () ->
-      let j = resolve_intra_jobs_locked () in
-      if j <= 1 then None
-      else
-        match !intra_pool_ref with
-        | Some p -> Some p
-        | None ->
-            let p = Bapar.Pool.create ~jobs:j in
-            intra_pool_ref := Some p;
-            Some p)
-
-let current_intra_pool () = intra_pool ()
-
 let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
-    ?(on_caps_mismatch = `Refuse) ?labeler ?pool ?sparse ?step_audit proto
+    ?(on_caps_mismatch = `Refuse) ?labeler ?sparse ?step_audit proto
     ~adversary ~n ~budget ~inputs ~max_rounds ~seed =
   if Array.length inputs <> n then
     invalid_arg "Engine.run: inputs length must equal n";
@@ -333,7 +266,6 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
      "never" (the public [int option array] is materialized once, at the
      end); halt/membership/privacy flags are single bytes. *)
   let halt_rounds_a = Array.make n (-1) in
-  let new_halt = Bytes.make n '\000' in
   let stepped_b = Bytes.make n '\000' in
   let priv_b = Bytes.make n '\000' in
   let inboxes = Array.make n [] in
@@ -341,8 +273,7 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
   let running = ref true in
   (* The active set — so-far-honest, not-yet-halted nodes — as an
      ascending id array (the live prefix [0, n_active)), mirrored by the
-     [active_b] membership bytes. Phase 1 iterates (and shards) over
-     this prefix, so per-round stepping is O(active), not O(n).
+     [active_b] membership bytes. Phase 1 iterates over this prefix, so per-round stepping is O(active), not O(n).
      Removals (a halt in phase 1, a corruption in phase 2) clear the
      byte; the prefix is compacted once at the end of a round that
      dropped someone, keeping it ascending. *)
@@ -375,18 +306,6 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
   let prev_touched = ref (Array.make (max n 1) 0) in
   let n_prev_touched = ref 0 in
   let prev_shared = ref [] in
-  (* Intra-round parallelism: [None] is the sequential engine; [Some p]
-     shards phase 1 across [p] in fixed chunks of the active prefix. An
-     explicit [~pool] argument wins over the process-wide [intra_pool];
-     a pool of size 1 is normalized away so the sequential path stays
-     the baseline itself, not a one-chunk simulation of it. A
-     [?sparse] hook runs phase 1 itself (sequentially); [pool] then
-     only matters to whatever parallelism the hook uses internally. *)
-  let pool =
-    match pool with
-    | Some p -> if Bapar.Pool.size p <= 1 then None else Some p
-    | None -> intra_pool ()
-  in
   let empty_pairs = Array.init n (fun i -> (i, [])) in
   let view_intents = Array.init n (fun i -> (i, [])) in
   let acc = Array.make n [] in
@@ -419,6 +338,15 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
     done;
     n_dirty := 0;
     let ids = active_ids in
+    (* A node halting this round: recorded (and traced) in ascending
+       node order, as phase 1 steps the active prefix. It stays in the
+       prefix until the end-of-round compaction. *)
+    let note_halt i =
+      halt_rounds_a.(i) <- r;
+      deactivate i;
+      if audit_on then Bytes.unsafe_set stepped_b i '\001';
+      tracer (Trace.Halted { round = r; node = i; output = proto.output states.(i) })
+    in
     (match sparse with
     | Some hook ->
         let rv =
@@ -437,33 +365,21 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
            is a scan of the active prefix rather than a per-step check. *)
         for k = 0 to !n_active - 1 do
           let i = Array.unsafe_get ids k in
-          if proto.halted states.(i) && halt_rounds_a.(i) < 0 then
-            Bytes.unsafe_set new_halt i '\001'
+          if proto.halted states.(i) && halt_rounds_a.(i) < 0 then note_halt i
         done
     | None ->
-        (* Each node's step writes only its own [states]/[intents]/
-           [new_halt]/[stepped_b] slots, so disjoint chunks of the
-           active prefix are data-race-free. Corruption and halt status
-           of other nodes are only read, and phase 2 (the sole writer of
-           [tracker]) has not run yet this round. *)
-        let step_range ~lo ~hi =
-          for k = lo to hi - 1 do
-            let i = Array.unsafe_get ids k in
-            if not (proto.halted states.(i)) then begin
-              let state', sends =
-                proto.step env states.(i) ~round:r ~inbox:inboxes.(i)
-              in
-              states.(i) <- state';
-              intents.(i) <- sends;
-              if audit_on then Bytes.unsafe_set stepped_b i '\001';
-              if proto.halted state' && halt_rounds_a.(i) < 0 then
-                Bytes.unsafe_set new_halt i '\001'
-            end
-          done
-        in
-        (match pool with
-        | Some p -> Bapar.Pool.shard ~pool:p ~n:!n_active step_range
-        | None -> step_range ~lo:0 ~hi:!n_active));
+        for k = 0 to !n_active - 1 do
+          let i = Array.unsafe_get ids k in
+          if not (proto.halted states.(i)) then begin
+            let state', sends =
+              proto.step env states.(i) ~round:r ~inbox:inboxes.(i)
+            in
+            states.(i) <- state';
+            intents.(i) <- sends;
+            if audit_on then Bytes.unsafe_set stepped_b i '\001';
+            if proto.halted state' && halt_rounds_a.(i) < 0 then note_halt i
+          end
+        done);
     (* Report which nodes did per-node protocol work this round (full
        steps, sparse emissions, halts), ascending — the observable the
        sparse-active invariant tests assert on. *)
@@ -473,27 +389,10 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
         let stepped = ref [] in
         for k = !n_active - 1 downto 0 do
           let i = Array.unsafe_get ids k in
-          if
-            Bytes.unsafe_get stepped_b i = '\001'
-            || Bytes.unsafe_get new_halt i = '\001'
-          then stepped := i :: !stepped;
+          if Bytes.unsafe_get stepped_b i = '\001' then stepped := i :: !stepped;
           Bytes.unsafe_set stepped_b i '\000'
         done;
         audit ~round:r !stepped);
-    (* Sequential node-ascending post-pass: the only events phase 1 emits
-       are Halted, and the sequential engine emits them in ascending node
-       order, so replaying them here makes the trace byte-identical for
-       every pool size. *)
-    for k = 0 to !n_active - 1 do
-      let i = Array.unsafe_get ids k in
-      if Bytes.unsafe_get new_halt i = '\001' then begin
-        Bytes.unsafe_set new_halt i '\000';
-        halt_rounds_a.(i) <- r;
-        deactivate i;
-        tracer
-          (Trace.Halted { round = r; node = i; output = proto.output states.(i) })
-      end
-    done;
     (* Wires are buffered in ascending (node, send) order — the same order
        the old cons-list construction produced — in a second pass over the
        active prefix (which still includes this round's halters; the
@@ -793,8 +692,8 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
       all_honest_decided;
       halt_rounds } )
 
-let run ?tracer ?series ?resource ?on_caps_mismatch ?labeler ?pool ?sparse
+let run ?tracer ?series ?resource ?on_caps_mismatch ?labeler ?sparse
     ?step_audit proto ~adversary ~n ~budget ~inputs ~max_rounds ~seed =
   snd
-    (run_env ?tracer ?series ?resource ?on_caps_mismatch ?labeler ?pool ?sparse
+    (run_env ?tracer ?series ?resource ?on_caps_mismatch ?labeler ?sparse
        ?step_audit proto ~adversary ~n ~budget ~inputs ~max_rounds ~seed)

@@ -138,30 +138,6 @@ type result = {
           terminate-cascade experiment measures the spread of these *)
 }
 
-val set_intra_jobs : int -> unit
-(** Set the process-wide intra-trial parallelism degree — how many
-    domains {!run} shards each round's honest-step phase across. [1]
-    (the default) is the fully sequential engine. The backing pool is
-    created lazily on the next run; replacing the degree shuts the
-    displaced pool down (joining its worker domains) so repeated
-    reconfiguration cannot leak sleeping domains. The shutdown is safe
-    under a concurrent trial: {!Bapar.Pool.shutdown} drains outstanding
-    work and a mid-batch driver drains its own queue, so in-flight
-    rounds complete (worst case sequentially on the driver). This is
-    the programmatic form of the CLIs' [--intra-jobs] flag; the initial
-    value is read from the [BA_INTRA_JOBS] environment variable
-    (invalid or unset → 1).
-    @raise Invalid_argument if the argument is [< 1]. *)
-
-val intra_jobs : unit -> int
-(** The current process-wide intra-trial parallelism degree. *)
-
-val current_intra_pool : unit -> Bapar.Pool.t option
-(** The process-wide pool {!run} would shard onto right now, creating it
-    lazily if the configured degree is [> 1]; [None] when the degree is
-    [1]. Exposed for pool-lifecycle tests and diagnostics — treat it as
-    read-only. *)
-
 (** {2 Sparse rounds}
 
     A protocol that can bound which nodes act in a round — committee
@@ -211,7 +187,7 @@ type ('env, 'state, 'msg) sparse_step =
 (** One sparse phase 1: absorb [rv_shared_inbox] once for the crowd
     and per-node inboxes for divergent nodes, mutate [states] in place,
     and [rv_emit] every send the dense protocol would have produced.
-    Runs sequentially (the engine does not shard it). *)
+    Runs sequentially, like the dense phase 1. *)
 
 val sparse_of_step :
   ('env, 'state, 'msg) protocol -> ('env, 'state, 'msg) sparse_step
@@ -225,7 +201,6 @@ val run :
   ?resource:Baobs.Resource.t ->
   ?on_caps_mismatch:[ `Refuse | `Warn ] ->
   ?labeler:('msg -> string) ->
-  ?pool:Bapar.Pool.t ->
   ?sparse:('env, 'state, 'msg) sparse_step ->
   ?step_audit:(round:int -> int list -> unit) ->
   ('env, 'state, 'msg) protocol ->
@@ -244,30 +219,11 @@ val run :
     additionally timed under the [engine.*] {!Baobs.Probe}s when the
     probe registry is enabled.
 
-    {b Intra-trial parallelism.} [pool] (default: the process-wide pool
-    configured by {!set_intra_jobs} / [BA_INTRA_JOBS]) shards phase 1 —
-    the honest-step computations of a round — across the pool's domains
-    in fixed contiguous node-index chunks ({!Bapar.Pool.shard}). The
-    execution is {e observably identical} to the sequential engine for
-    every pool size: per-node RNG streams are split off the root by node
-    name at init (never shared across nodes), each step writes only its
-    own node's slots, wire buffering / adversary intervention / delivery
-    stay sequential, and halts detected by parallel chunks are replayed
-    by a sequential node-ascending post-pass — so traces, metrics,
-    series, and outputs are byte-identical, not merely equivalent. A
-    pool of size 1 (or [None] after normalization) {e is} the
-    sequential engine, not a one-chunk simulation of it.
-
-    The contract assumes what every protocol in the repository
-    satisfies: [step] does not mutate state shared across nodes except
-    through the crypto/mining layers, which serialize internally (memo
-    caches, [Fmine] counters) with results independent of arrival
-    order. A hypothetical adversary that injects a message referencing
-    a (node, mining-string) pair honest nodes first mine {e in the
-    delivery round itself} would make even the sequential semantics
-    verifier-order-dependent; that is outside the contract (all in-tree
-    adversaries mine only in sequential phase 2 and reference only
-    earlier-round mines).
+    {b Sequential phase 1.} Each round's honest steps run one after
+    another in ascending node order, on the calling domain. Protocol
+    envs may therefore keep plain, unsynchronised caches and counters;
+    parallelism lives one level up, where independent trials (each
+    with its own env) run on separate domains.
 
     [resource], when given (and {!Baobs.Resource.enabled}), receives
     one GC/memory row per round — allocated words, promotions,
@@ -290,8 +246,7 @@ val run :
     wire).
 
     {b Sparse rounds.} [sparse], when given, replaces the engine's dense
-    phase 1 with the hook (see {!sparse_step}); [pool] then does not
-    shard phase 1 (the hook runs sequentially). [step_audit], when
+    phase 1 with the hook (see {!sparse_step}). [step_audit], when
     given, is called once per round with the ascending list of active
     nodes that did per-node protocol work that round — every stepped
     node on the dense path; emitters, halters and individually-stepped
@@ -314,7 +269,6 @@ val run_env :
   ?resource:Baobs.Resource.t ->
   ?on_caps_mismatch:[ `Refuse | `Warn ] ->
   ?labeler:('msg -> string) ->
-  ?pool:Bapar.Pool.t ->
   ?sparse:('env, 'state, 'msg) sparse_step ->
   ?step_audit:(round:int -> int list -> unit) ->
   ('env, 'state, 'msg) protocol ->

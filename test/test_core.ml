@@ -358,6 +358,142 @@ let test_shm_mining_strings () =
   Alcotest.(check string) "terminate per-bit" "shm:Terminate:0"
     (Sub_hm.terminate_mining_string ~bit:false)
 
+(* Interned mining strings are the Fmine coin inputs, so they must be
+   the Printf form byte for byte — in range, out of range (an adversary
+   may send any iteration), and on a second lookup of a filled slot. *)
+let test_shm_interned_mining_strings () =
+  let max_epochs = 5 in
+  let params = Params.make ~lambda:8 ~max_epochs () in
+  let env =
+    (Sub_hm.protocol ~params ~world:`Hybrid).Engine.make_env ~n:16
+      (Bacrypto.Rng.create 1L)
+  in
+  let iters = List.init (max_epochs + 6) (fun i -> i - 2) @ [ 1_000_003 ] in
+  for _pass = 1 to 2 do
+    List.iter
+      (fun kind ->
+        List.iter
+          (fun bit ->
+            List.iter
+              (fun iter ->
+                Alcotest.(check string)
+                  (Printf.sprintf "iter %d" iter)
+                  (Sub_hm.mining_string kind ~iter ~bit)
+                  (Sub_hm.interned_mining_string env kind ~iter ~bit))
+              iters)
+          [ false; true ])
+      [ `Status; `Propose; `Vote; `Commit ];
+    List.iter
+      (fun bit ->
+        Alcotest.(check string) "terminate"
+          (Sub_hm.terminate_mining_string ~bit)
+          (Sub_hm.interned_terminate_string env ~bit))
+      [ false; true ]
+  done
+
+(* A hybrid env with every node's iteration-1 vote ticket for bit 1
+   mined: the winners' and losers' ids. *)
+let mined_votes () =
+  let n = 40 in
+  let params = Params.make ~lambda:8 ~max_epochs:4 () in
+  let env =
+    (Sub_hm.protocol ~params ~world:`Hybrid).Engine.make_env ~n
+      (Bacrypto.Rng.create 5L)
+  in
+  let msg = Sub_hm.mining_string `Vote ~iter:1 ~bit:true in
+  let p = Sub_hm.committee_probability env in
+  let winners, losers =
+    List.partition
+      (fun node -> Option.is_some (env.Sub_hm.elig.Bafmine.Eligibility.mine ~node ~msg ~p))
+      (List.init n Fun.id)
+  in
+  (env, winners, losers)
+
+let take k l = List.filteri (fun i _ -> i < k) l
+
+let vote_cert nodes =
+  Cert.make ~iter:1 ~bit:true
+    ~endorsements:(List.map (fun node -> (node, Bafmine.Eligibility.Ideal_ticket)) nodes)
+
+let test_shm_cert_copy_same_verdict () =
+  let env, winners, losers = mined_votes () in
+  let q = Sub_hm.quorum env in
+  Alcotest.(check bool) "enough winners" true (List.length winners >= q);
+  let good = vote_cert (take q winners) and good' = vote_cert (take q winners) in
+  let bad = vote_cert (take q losers) and bad' = vote_cert (take q losers) in
+  Alcotest.(check bool) "copies are distinct values" true
+    (good != good' && bad != bad');
+  Alcotest.(check bool) "valid" true (Sub_hm.valid_cert env good);
+  Alcotest.(check bool) "equal copy of a cached cert: valid" true
+    (Sub_hm.valid_cert env good');
+  Alcotest.(check bool) "invalid" false (Sub_hm.valid_cert env bad);
+  Alcotest.(check bool) "equal copy of a rejected cert: invalid" false
+    (Sub_hm.valid_cert env bad')
+
+let test_shm_forged_endorsement_after_cache () =
+  let env, winners, losers = mined_votes () in
+  let q = Sub_hm.quorum env in
+  Alcotest.(check bool) "valid cert cached" true
+    (Sub_hm.valid_cert env (vote_cert (take q winners)));
+  (* the same (iter, bit) and the same first q - 1 endorsers, but the
+     last ticket is an ideal ticket its holder never won *)
+  let forged = vote_cert (take (q - 1) winners @ [ List.hd losers ]) in
+  Alcotest.(check bool) "forged endorsement rejected" false
+    (Sub_hm.valid_cert env forged);
+  Alcotest.(check bool) "not cached" false
+    (Hashtbl.mem env.Sub_hm.cert_cache forged)
+
+(* --- ba_run command line ---------------------------------------------------- *)
+
+let ba_run_exe = "../bin/ba_run.exe"
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Runs [ba_run args] with stdout and stderr captured; returns the exit
+   code and both outputs. *)
+let ba_run args =
+  let out = Filename.temp_file "ba_run" ".out"
+  and err = Filename.temp_file "ba_run" ".err" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s %s >%s 2>%s" ba_run_exe args (Filename.quote out)
+         (Filename.quote err))
+  in
+  let stdout = read_file out and stderr = read_file err in
+  Sys.remove out;
+  Sys.remove err;
+  (code, stdout, stderr)
+
+let test_cli_parameter_validation () =
+  List.iter
+    (fun args ->
+      let code, _, stderr = ba_run args in
+      Alcotest.(check int) (args ^ ": exit") 1 code;
+      Alcotest.(check int)
+        (args ^ ": one-line message")
+        1
+        (List.length (String.split_on_char '\n' (String.trim stderr))))
+    [ "-p sub-hm -n 5 -f 9"; "-p sub-hm -n 11 --lambda 0"; "-p quadratic-hm -n 10" ]
+
+let test_cli_sweep_jobs_identical () =
+  let sweep jobs =
+    let metrics = Filename.temp_file "ba_sweep" ".json" in
+    let code, stdout, _ =
+      ba_run
+        (Printf.sprintf
+           "-p sub-hm -n 101 -a split-vote -f 30 --lambda 20 --epochs 8 \
+            --inputs split --seed 3 --reps 8 --jobs %d --metrics-json %s"
+           jobs (Filename.quote metrics))
+    in
+    let json = read_file metrics in
+    Sys.remove metrics;
+    (code, stdout, json)
+  in
+  let code1, out1, json1 = sweep 1 and code4, out4, json4 = sweep 4 in
+  Alcotest.(check int) "same exit code" code1 code4;
+  Alcotest.(check string) "same stdout" out1 out4;
+  Alcotest.(check string) "same metrics JSON" json1 json4
+
 (* --- Broadcast reduction (§1.1) --------------------------------------------- *)
 
 let test_broadcast_honest_sender () =
@@ -561,7 +697,18 @@ let () =
           Alcotest.test_case "expected constant rounds" `Slow
             test_shm_expected_constant_rounds;
           Alcotest.test_case "real world" `Slow test_shm_real_world;
-          Alcotest.test_case "mining strings" `Quick test_shm_mining_strings ] );
+          Alcotest.test_case "mining strings" `Quick test_shm_mining_strings;
+          Alcotest.test_case "interned mining strings" `Quick
+            test_shm_interned_mining_strings;
+          Alcotest.test_case "equal cert copy, same verdict" `Quick
+            test_shm_cert_copy_same_verdict;
+          Alcotest.test_case "forged endorsement after cache" `Quick
+            test_shm_forged_endorsement_after_cache ] );
+      ( "cli",
+        [ Alcotest.test_case "parameter validation" `Quick
+            test_cli_parameter_validation;
+          Alcotest.test_case "sweep --jobs 1 = --jobs 4" `Quick
+            test_cli_sweep_jobs_identical ] );
       ( "broadcast",
         [ Alcotest.test_case "honest sender" `Quick test_broadcast_honest_sender;
           Alcotest.test_case "silent corrupt sender" `Quick

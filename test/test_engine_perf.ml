@@ -34,8 +34,8 @@ type state = { me : int; stopped : bool }
 (* The protocol ignores its inputs and rng and replays the plan; every
    step records the inbox it was handed into its node's [log] slot.
    One slot per node (not one shared list) keeps the recording
-   race-free and order-independent when phase 1 runs sharded; the
-   harness flattens the slots into (round, node) order afterwards. *)
+   independent of step order; the harness flattens the slots into
+   (round, node) order afterwards. *)
 let scripted plan (log : ((int * int) * (int * int) list) list ref array) :
     (unit, state, int) Engine.protocol =
   { Engine.proto_name = "scripted";
@@ -250,18 +250,16 @@ let run_reference plan =
     all_honest_decided;
     halt_rounds }
 
-(* [pool] defaults to a size-1 pool (the sequential engine); the
-   cross-jobs differential suite below reruns the same plan on larger
-   pools. The series JSON rides alongside the summary so sharding is
-   also pinned to produce the identical per-round × per-node series. *)
-let run_real ?pool plan =
+(* The series rides along so the engine's internal
+   [Metrics.agrees_with_series] assertion is armed. *)
+let run_real plan =
   let log = Array.init plan.n (fun _ -> ref []) in
   let collector = Trace.collector () in
   let series = Baobs.Series.create ~n:plan.n in
   let result =
     Engine.run
       ~tracer:(Trace.observe collector)
-      ~series ?pool
+      ~series
       (scripted plan log)
       ~adversary:(script_adversary plan)
       ~n:plan.n ~budget:plan.n
@@ -273,16 +271,15 @@ let run_real ?pool plan =
     |> List.concat_map (fun slot -> List.rev !slot)
     |> List.sort (fun (k1, _) (k2, _) -> compare (k1 : int * int) k2)
   in
-  ( { logs;
-      events = Trace.events collector;
-      metrics_json = Baobs.Json.to_string (Metrics.to_json result.Engine.metrics);
-      outputs = result.Engine.outputs;
-      corrupt = result.Engine.corrupt;
-      corruptions = result.Engine.corruptions;
-      rounds_used = result.Engine.rounds_used;
-      all_honest_decided = result.Engine.all_honest_decided;
-      halt_rounds = result.Engine.halt_rounds },
-    Baobs.Json.to_string (Baobs.Series.to_json series) )
+  { logs;
+    events = Trace.events collector;
+    metrics_json = Baobs.Json.to_string (Metrics.to_json result.Engine.metrics);
+    outputs = result.Engine.outputs;
+    corrupt = result.Engine.corrupt;
+    corruptions = result.Engine.corruptions;
+    rounds_used = result.Engine.rounds_used;
+    all_honest_decided = result.Engine.all_honest_decided;
+    halt_rounds = result.Engine.halt_rounds }
 
 (* ------------------------------------------------------------------ *)
 (* Scenario generation                                                *)
@@ -382,7 +379,7 @@ let print_plan plan =
 (* ------------------------------------------------------------------ *)
 
 let equivalent plan =
-  let real, _series = run_real plan and reference = run_reference plan in
+  let real = run_real plan and reference = run_reference plan in
   real.logs = reference.logs
   && real.events = reference.events
   && String.equal real.metrics_json reference.metrics_json
@@ -393,48 +390,10 @@ let equivalent plan =
   && real.all_honest_decided = reference.all_honest_decided
   && real.halt_rounds = reference.halt_rounds
 
-(* ------------------------------------------------------------------ *)
-(* Cross-jobs differential: sharded phase 1 = sequential engine       *)
-(* ------------------------------------------------------------------ *)
-
-(* One pool per size under test, created once for the whole suite and
-   leaked (process lifetime, same policy as the engine's own cached
-   intra pool). Size 1 is exercised via [?pool:None], which IS the
-   sequential engine, so the comparison is parallel-vs-baseline and
-   not parallel-vs-parallel. *)
-let intra_pools =
-  lazy (List.map (fun jobs -> (jobs, Bapar.Pool.create ~jobs)) [ 2; 4; 8 ])
-
-let summaries_equal (a, a_series) (b, b_series) =
-  a.logs = b.logs
-  && a.events = b.events
-  && String.equal a.metrics_json b.metrics_json
-  && a.outputs = b.outputs
-  && a.corrupt = b.corrupt
-  && a.corruptions = b.corruptions
-  && a.rounds_used = b.rounds_used
-  && a.all_honest_decided = b.all_honest_decided
-  && a.halt_rounds = b.halt_rounds
-  && String.equal a_series b_series
-
-(* Every observable of the run — per-step inbox logs, the trace event
-   stream, metrics JSON, series JSON, outputs, halt rounds — must be
-   identical when phase 1 is sharded across 2/4/8 domains. The scripted
-   protocol halts, corrupts, removes, and injects, so the differential
-   also covers the halt post-pass and the phase-2/3 interaction. *)
-let cross_jobs_equivalent plan =
-  let sequential = run_real plan in
-  List.for_all
-    (fun (_jobs, pool) -> summaries_equal sequential (run_real ~pool plan))
-    (Lazy.force intra_pools)
-
 let qcheck_tests =
   [ QCheck.Test.make ~name:"shared delivery = naive reference" ~count:300
       (QCheck.make ~print:print_plan gen_plan)
-      equivalent;
-    QCheck.Test.make ~name:"intra-jobs {2,4,8} = sequential engine" ~count:150
-      (QCheck.make ~print:print_plan gen_plan)
-      cross_jobs_equivalent ]
+      equivalent ]
 
 (* A deterministic scenario dense in edge cases: multicasts interleaved
    with unicasts to the same node (exercises the splice path), duplicate
@@ -480,22 +439,23 @@ let test_dense_scenario () =
 (* Real-protocol cross-jobs differentials                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The scripted differential covers engine mechanics; these pin the
-   claim for real protocols whose steps hit the shared crypto/mining
-   layers (memo caches, Fmine counters) from parallel chunks. Each runs
-   a seeded adversarial execution sequentially and on every pool, and
-   every observable must match. *)
+(* Phase 1 is sequential and protocol envs keep unsynchronised caches,
+   memo tables and counters; what makes trial-level [--jobs] safe is
+   that every run owns its env and nothing is shared between runs. Each
+   differential runs a seeded adversarial execution on the calling
+   domain, then four copies at once on a 4-domain pool: every copy
+   must reproduce every observable. *)
 let protocol_differential (type env state msg) name
     (proto : (env, state, msg) Engine.protocol) ~make_adv ~n ~budget ~inputs
     ~max_rounds ~seed () =
-  let execute ?pool () =
+  let execute () =
     let collector = Trace.collector () in
     let series = Baobs.Series.create ~n in
     let result =
       Engine.run
         ~tracer:(Trace.observe collector)
-        ~series ?pool proto ~adversary:(make_adv ()) ~n ~budget ~inputs
-        ~max_rounds ~seed
+        ~series proto ~adversary:(make_adv ()) ~n ~budget ~inputs ~max_rounds
+        ~seed
     in
     ( Trace.events collector,
       Baobs.Json.to_string (Metrics.to_json result.Engine.metrics),
@@ -506,13 +466,16 @@ let protocol_differential (type env state msg) name
       result.Engine.rounds_used )
   in
   let sequential = execute () in
-  List.iter
-    (fun (jobs, pool) ->
+  let concurrent =
+    Bapar.Pool.with_pool ~jobs:4 (fun pool ->
+        Bapar.Pool.map ~pool (fun _ -> execute ()) [ 1; 2; 3; 4 ])
+  in
+  List.iteri
+    (fun k run ->
       Alcotest.(check bool)
-        (Printf.sprintf "%s @ intra-jobs %d = sequential" name jobs)
-        true
-        (execute ~pool () = sequential))
-    (Lazy.force intra_pools)
+        (Printf.sprintf "%s: concurrent copy %d = sequential" name k)
+        true (run = sequential))
+    concurrent
 
 let test_sub_hm_differential =
   let params = Bacore.Params.make ~lambda:12 ~max_epochs:6 () in

@@ -178,42 +178,6 @@ let test_default_jobs_positive () =
   let j = Bapar.Pool.default_jobs () in
   Alcotest.(check bool) "within clamp" true (j >= 1 && j <= 64)
 
-(* Replacing the engine's intra-round pool must shut the displaced pool
-   down (its worker domains would otherwise leak and keep the process
-   alive); dropping to jobs:1 must release the pool entirely. *)
-let test_engine_intra_pool_lifecycle () =
-  let restore =
-    match Basim.Engine.current_intra_pool () with
-    | Some p -> Bapar.Pool.size p
-    | None -> 1
-  in
-  Fun.protect
-    ~finally:(fun () -> Basim.Engine.set_intra_jobs restore)
-    (fun () ->
-      Basim.Engine.set_intra_jobs 2;
-      let first =
-        match Basim.Engine.current_intra_pool () with
-        | Some p -> p
-        | None -> Alcotest.fail "set_intra_jobs 2 installed no pool"
-      in
-      Alcotest.(check bool) "fresh pool live" true (Bapar.Pool.is_live first);
-      Basim.Engine.set_intra_jobs 3;
-      Alcotest.(check bool)
-        "displaced pool shut down" false (Bapar.Pool.is_live first);
-      let second =
-        match Basim.Engine.current_intra_pool () with
-        | Some p -> p
-        | None -> Alcotest.fail "set_intra_jobs 3 installed no pool"
-      in
-      Alcotest.(check bool) "replacement live" true (Bapar.Pool.is_live second);
-      Basim.Engine.set_intra_jobs 1;
-      Alcotest.(check bool)
-        "jobs:1 shuts the pool down" false
-        (Bapar.Pool.is_live second);
-      Alcotest.(check bool)
-        "jobs:1 keeps no pool" true
-        (Basim.Engine.current_intra_pool () = None))
-
 (* --- worker stats --------------------------------------------------------- *)
 
 let test_pool_stats_sum_to_submitted () =
@@ -276,49 +240,11 @@ let test_pool_stats_sequential_stays_on_caller () =
           Alcotest.fail
             (Printf.sprintf "expected 1 stats row, got %d" (List.length stats)))
 
-(* --- shard ---------------------------------------------------------------- *)
-
-let test_shard_covers_range_exactly_once () =
-  (* Chunk boundaries must partition [0, n): every index hit exactly
-     once, for every pool size, including n = 0/1 and n < size. The
-     per-chunk writes land in disjoint slots, so the array needs no
-     synchronisation — the same discipline the engine's phase-1 shard
-     relies on. *)
-  List.iter
-    (fun jobs ->
-      Bapar.Pool.with_pool ~jobs (fun pool ->
-          List.iter
-            (fun n ->
-              let hits = Array.make (max n 1) 0 in
-              Bapar.Pool.shard ~pool ~n (fun ~lo ~hi ->
-                  for i = lo to hi - 1 do
-                    hits.(i) <- hits.(i) + 1
-                  done);
-              Alcotest.(check bool)
-                (Printf.sprintf "jobs %d n %d: each index exactly once" jobs n)
-                true
-                (Array.for_all (( = ) 1) (Array.sub hits 0 n)
-                && (n > 0 || hits.(0) = 0)))
-            [ 0; 1; 2; 3; 7; 64; 65 ]))
-    [ 1; 2; 3; 4; 8 ]
-
-let test_shard_exception_smallest_chunk () =
-  Bapar.Pool.with_pool ~jobs:4 (fun pool ->
-      match
-        Bapar.Pool.shard ~pool ~n:40 (fun ~lo ~hi ->
-            ignore hi;
-            raise (Boom lo))
-      with
-      | () -> Alcotest.fail "expected Boom"
-      | exception Boom lo ->
-          Alcotest.(check int) "smallest-index chunk's exception wins" 0 lo)
-
 (* --- concurrent batch submission ------------------------------------------ *)
 
 let test_concurrent_batch_submission () =
-  (* Several driver domains submit batches to ONE shared pool at once —
-     the trial-pool-workers-sharding-onto-the-intra-pool topology. Each
-     driver must get exactly its own results back, in its own order,
+  (* Several driver domains submit batches to ONE shared pool at once.
+     Each driver must get exactly its own results back, in its own order,
      across many differently-shaped batches. *)
   Bapar.Pool.with_pool ~jobs:4 (fun pool ->
       let drivers =
@@ -400,17 +326,10 @@ let () =
             test_shutdown_idempotent;
           Alcotest.test_case "default_jobs in range" `Quick
             test_default_jobs_positive;
-          Alcotest.test_case "engine intra-pool lifecycle" `Quick
-            test_engine_intra_pool_lifecycle;
           Alcotest.test_case "stats sum to submitted (sizes 1-8)" `Quick
             test_pool_stats_sum_to_submitted;
           Alcotest.test_case "stats sequential on caller" `Quick
             test_pool_stats_sequential_stays_on_caller ] );
-      ( "shard",
-        [ Alcotest.test_case "chunks cover [0,n) exactly once" `Quick
-            test_shard_covers_range_exactly_once;
-          Alcotest.test_case "smallest-chunk exception wins" `Quick
-            test_shard_exception_smallest_chunk ] );
       ( "concurrent-drivers",
         [ Alcotest.test_case "4 domains share one pool" `Quick
             test_concurrent_batch_submission ] );
