@@ -25,12 +25,16 @@ let hybrid fmine =
         | Vrf_credential _ -> false);
     verify_many =
       (fun ~msg ~p:_ entries ->
-        List.map
-          (fun (node, cred) ->
-            match cred with
-            | Ideal_ticket -> Fmine.verify fmine ~node ~msg
-            | Vrf_credential _ -> false)
-          entries);
+        (* One batched lookup for the whole quorum check; the lookup for
+           a [Vrf_credential] entry is discarded (read-only, harmless). *)
+        let oks =
+          Fmine.verify_batch fmine
+            (List.map (fun (node, _) -> (node, msg)) entries)
+        in
+        List.map2
+          (fun (_, cred) ok ->
+            match cred with Ideal_ticket -> ok | Vrf_credential _ -> false)
+          entries oks);
     credential_bits =
       (function Ideal_ticket -> 0 | Vrf_credential ev -> Bacrypto.Vrf.evaluation_bits ev) }
 

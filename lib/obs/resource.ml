@@ -1,5 +1,5 @@
-(* GC/memory telemetry. Sampling is counter reads over [Gc.quick_stat]
-   — it never triggers a collection and never touches protocol-visible
+(* GC/memory telemetry. Sampling is counter reads over [Gc.counters]
+   and [Gc.quick_stat] — it never triggers a collection and never touches protocol-visible
    state, which is why a run recorded with [Engine.run ?resource] emits
    a byte-identical trace to an unrecorded one (asserted in
    test/test_obs.ml). The recorder keeps one row per round plus a
@@ -18,10 +18,14 @@ type sample = {
 }
 
 let sample () =
+  (* Word counts come from [Gc.counters]: on OCaml 5 its minor count
+     includes the current minor heap, while [quick_stat]'s only moves
+     at a minor collection, so a window without one read 0 words. *)
+  let minor_words, promoted_words, major_words = Gc.counters () in
   let s = Gc.quick_stat () in
-  { minor_words = s.Gc.minor_words;
-    promoted_words = s.Gc.promoted_words;
-    major_words = s.Gc.major_words;
+  { minor_words;
+    promoted_words;
+    major_words;
     minor_collections = s.Gc.minor_collections;
     major_collections = s.Gc.major_collections;
     compactions = s.Gc.compactions;

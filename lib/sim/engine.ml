@@ -273,7 +273,8 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
   let running = ref true in
   (* The active set — so-far-honest, not-yet-halted nodes — as an
      ascending id array (the live prefix [0, n_active)), mirrored by the
-     [active_b] membership bytes. Phase 1 iterates over this prefix, so per-round stepping is O(active), not O(n).
+     [active_b] membership bytes. Phase 1 iterates over this prefix,
+     so per-round stepping is O(active), not O(n).
      Removals (a halt in phase 1, a corruption in phase 2) clear the
      byte; the prefix is compacted once at the end of a round that
      dropped someone, keeping it ascending. *)
