@@ -315,16 +315,18 @@ let engine_counter_summaries () =
    so they live in the same report. *)
 let resource_summary () =
   let open Baobs.Json in
-  Baobs.Resource.enable ();
   let recorder = Baobs.Resource.create () in
   let params = Params.make ~lambda:40 ~max_epochs:60 () in
   let proto = Sub_hm.protocol ~params ~world:`Hybrid in
   let inputs = Scenario.split_inputs ~n:801 in
+  Baobs.Resource.open_round recorder ~round:(-1);
   let result =
-    Engine.run proto ~resource:recorder ~adversary:(passive ()) ~n:801
-      ~budget:0 ~inputs ~max_rounds:250 ~seed:2L
+    Engine.run proto
+      ~tracer:(Trace.resource_tracer recorder)
+      ~adversary:(passive ()) ~n:801 ~budget:0 ~inputs ~max_rounds:250
+      ~seed:2L
   in
-  Baobs.Resource.disable ();
+  Baobs.Resource.close recorder;
   let rows = Baobs.Resource.rows recorder in
   let peak_heap =
     List.fold_left
@@ -364,19 +366,23 @@ let scale_summary () =
   print_endline "\n### Sparse engine scale (passive sub-hm, crowd hook)\n";
   List.map
     (fun n ->
-      Baobs.Resource.enable ();
       let recorder = Baobs.Resource.create () in
       let params = Params.make ~lambda:40 ~max_epochs:60 () in
       let proto = Sub_hm.protocol ~params ~world:`Hybrid in
       let inputs = Scenario.split_inputs ~n in
       let wall_s, result =
         time_s (fun () ->
-            Engine.run proto ~resource:recorder
-              ~sparse:(Sub_hm.sparse_step ())
-              ~adversary:(passive ()) ~n ~budget:0 ~inputs ~max_rounds:250
-              ~seed:2L)
+            Baobs.Resource.open_round recorder ~round:(-1);
+            let result =
+              Engine.run proto
+                ~tracer:(Trace.resource_tracer recorder)
+                ~sparse:(Sub_hm.sparse_step ())
+                ~adversary:(passive ()) ~n ~budget:0 ~inputs ~max_rounds:250
+                ~seed:2L
+            in
+            Baobs.Resource.close recorder;
+            result)
       in
-      Baobs.Resource.disable ();
       let rows = Baobs.Resource.rows recorder in
       let peak_heap =
         List.fold_left

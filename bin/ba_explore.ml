@@ -176,6 +176,22 @@ let run_search (inst : (_, _, _) Bacheck.Explore.instance) opts =
       output_report opts (Bacheck.Explore.to_report_items findings) stats;
       if findings = [] then 0 else 2
 
+(* Parameter checks made before any search, so a bad configuration
+   exits 1 with one line instead of an uncaught exception from a
+   constructor. The first violated rule is reported. *)
+let parameter_error proto ~n ~budget ~lambda ~epochs ~committee =
+  let rules =
+    [ (n >= 1, Printf.sprintf "-n must be at least 1 (got %d)" n);
+      ( budget >= 0 && budget <= n,
+        Printf.sprintf "--budget must be between 0 and n = %d (got %d)" n budget );
+      (lambda >= 1, Printf.sprintf "--lambda must be at least 1 (got %d)" lambda);
+      (epochs >= 1, Printf.sprintf "--epochs must be at least 1 (got %d)" epochs);
+      ( proto <> P_static_committee || (committee >= 1 && committee <= n),
+        Printf.sprintf "--committee must be between 1 and n = %d (got %d)" n
+          committee ) ]
+  in
+  List.find_map (fun (ok, msg) -> if ok then None else Some msg) rules
+
 let main proto model strategy n budget lambda epochs committee inputs_choice
     seed max_rounds max_nodes samples max_actions actions_per_round dsts
     allow_setup all no_minimize format out schedule_json trace_jsonl replay =
@@ -196,72 +212,72 @@ let main proto model strategy n budget lambda epochs committee inputs_choice
     List.iter (fun e -> prerr_endline ("ba_explore: " ^ e)) path_errors;
     1
   end
-  else if n < 1 then begin
-    prerr_endline "ba_explore: --n must be at least 1";
-    1
-  end
-  else begin
-    let opts =
-      { strategy;
-        seed;
-        max_rounds;
-        max_nodes;
-        samples;
-        max_actions;
-        actions_per_round;
-        dsts;
-        allow_setup;
-        all;
-        no_minimize;
-        format;
-        out;
-        schedule_json;
-        trace_jsonl;
-        replay }
-    in
-    let seed64 = Int64.of_int seed in
-    let inputs = make_inputs inputs_choice ~n ~seed:seed64 in
-    try
-      match proto with
-      | P_sub_third ->
-          let params = Bacore.Params.make ~lambda ~max_epochs:epochs () in
-          run_search
-            { Bacheck.Explore.protocol =
-                Bacore.Sub_third.protocol ~params ~world:`Hybrid
-                  ~mode:Bacore.Sub_third.Bit_specific;
-              compiler = Baattacks.Schedule_targets.sub_third;
-              model;
-              n;
-              budget;
-              inputs;
-              max_rounds = (2 * epochs) + 2;
-              exec_seed = seed64;
-              check = Properties.agreement }
-            opts
-      | P_static_committee ->
-          run_search
-            { Bacheck.Explore.protocol =
-                Babaselines.Static_committee.protocol ~committee_size:committee;
-              compiler = Baattacks.Schedule_targets.static_committee;
-              model;
-              n;
-              budget;
-              inputs;
-              max_rounds = 4;
-              exec_seed = seed64;
-              check = Properties.agreement }
-            opts
-    with
-    | Baobs.Json.Parse_error e ->
-        prerr_endline ("ba_explore: bad schedule JSON: " ^ e);
+  else
+    match parameter_error proto ~n ~budget ~lambda ~epochs ~committee with
+    | Some msg ->
+        prerr_endline ("ba_explore: " ^ msg);
         1
-    | Engine.Illegal_action e ->
-        prerr_endline ("ba_explore: illegal schedule: " ^ e);
-        1
-    | Sys_error e ->
-        prerr_endline ("ba_explore: " ^ e);
-        1
-  end
+    | None ->
+        let opts =
+          { strategy;
+            seed;
+            max_rounds;
+            max_nodes;
+            samples;
+            max_actions;
+            actions_per_round;
+            dsts;
+            allow_setup;
+            all;
+            no_minimize;
+            format;
+            out;
+            schedule_json;
+            trace_jsonl;
+            replay }
+        in
+        let seed64 = Int64.of_int seed in
+        let inputs = make_inputs inputs_choice ~n ~seed:seed64 in
+        try
+          match proto with
+          | P_sub_third ->
+              let params = Bacore.Params.make ~lambda ~max_epochs:epochs () in
+              run_search
+                { Bacheck.Explore.protocol =
+                    Bacore.Sub_third.protocol ~params ~world:`Hybrid
+                      ~mode:Bacore.Sub_third.Bit_specific;
+                  compiler = Baattacks.Schedule_targets.sub_third;
+                  model;
+                  n;
+                  budget;
+                  inputs;
+                  max_rounds = (2 * epochs) + 2;
+                  exec_seed = seed64;
+                  check = Properties.agreement }
+                opts
+          | P_static_committee ->
+              run_search
+                { Bacheck.Explore.protocol =
+                    Babaselines.Static_committee.protocol ~committee_size:committee;
+                  compiler = Baattacks.Schedule_targets.static_committee;
+                  model;
+                  n;
+                  budget;
+                  inputs;
+                  max_rounds = 4;
+                  exec_seed = seed64;
+                  check = Properties.agreement }
+                opts
+        with
+        | Baobs.Json.Parse_error e ->
+            prerr_endline ("ba_explore: bad schedule JSON: " ^ e);
+            1
+        | Engine.Illegal_action e ->
+            prerr_endline ("ba_explore: illegal schedule: " ^ e);
+            1
+        | Sys_error e ->
+            prerr_endline ("ba_explore: " ^ e);
+            1
 
 let proto_arg =
   Arg.(

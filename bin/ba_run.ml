@@ -149,21 +149,14 @@ let dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
         (oc, Trace.jsonl_tracer (Baobs.Jsonl.to_channel oc)))
       trace_jsonl
   in
+  (* GC rows ride the trace: each round start closes the previous row.
+     Sampling reads GC counters only, so recording cannot change the
+     execution or its trace (asserted in CI). *)
+  let resource = Option.map (fun _ -> Baobs.Resource.create ()) resource_json in
   let tracer e =
+    (match resource with Some r -> Trace.resource_tracer r e | None -> ());
     (match collector with Some c -> Trace.observe c e | None -> ());
     match jsonl with Some (_, emit) -> emit e | None -> ()
-  in
-  let series =
-    if metrics_json <> None then Some (Baobs.Series.create ~n) else None
-  in
-  let resource =
-    match resource_json with
-    | None -> None
-    | Some _ ->
-        (* Sampling reads GC counters only, so flipping this on cannot
-           change the execution or its trace (asserted in CI). *)
-        Baobs.Resource.enable ();
-        Some (Baobs.Resource.create ())
   in
   if timings then Baobs.Probe.enable ();
   (match profile_json with
@@ -207,8 +200,8 @@ let dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
         output_char oc '\n';
         close_out oc
     | _ -> ());
-    (match (metrics_json, series) with
-    | Some path, Some s ->
+    (match metrics_json with
+    | Some path ->
         let json =
           Baobs.Json.Obj
             [ ("protocol", Baobs.Json.String label);
@@ -217,13 +210,14 @@ let dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
               ("seed", Baobs.Json.Int seed);
               ("rounds_used", Baobs.Json.Int result.Engine.rounds_used);
               ("metrics", Metrics.to_json result.Engine.metrics);
-              ("series", Baobs.Series.to_json s) ]
+              ("series",
+               Baobs.Series.to_json (Metrics.series result.Engine.metrics)) ]
         in
         let oc = open_out path in
         output_string oc (Baobs.Json.to_string json);
         output_char oc '\n';
         close_out oc
-    | _ -> ());
+    | None -> ());
     if timings then begin
       print_endline "--- timings ---";
       print_string (Baobs.Probe.report ())
@@ -318,10 +312,12 @@ let dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
       let adversary = make_adv () in
       let labeler = if causal then Some labeler else None in
       let sparse = Option.map (fun make -> make ()) sparse_make in
+      Option.iter (Baobs.Resource.open_round ~round:(-1)) resource;
       let result =
-        Engine.run ~tracer ?series ?resource ?labeler ?sparse ~on_caps_mismatch
-          proto_rec ~adversary ~n ~budget ~inputs ~max_rounds ~seed:seed64
+        Engine.run ~tracer ?labeler ?sparse ~on_caps_mismatch proto_rec
+          ~adversary ~n ~budget ~inputs ~max_rounds ~seed:seed64
       in
+      Option.iter Baobs.Resource.close resource;
       print_trace ();
       finish ~label result;
       (match (causal_json, collector) with

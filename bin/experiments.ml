@@ -33,24 +33,28 @@ let jobs =
            --json document are byte-identical for every $(docv).")
 
 let main quick only list_flag json_path jobs =
-  if list_flag then begin
-    List.iter
-      (fun e ->
-        Printf.printf "%-4s %s\n" e.Baexperiments.All.id e.Baexperiments.All.claim)
-      Baexperiments.All.experiments;
-    0
-  end
-  else
-    match only with
-    | None ->
-        Baexperiments.All.run_all ~quick ?jobs ?json_path ();
-        0
-    | Some id ->
-        if Baexperiments.All.run_one ~quick ?jobs ?json_path id then 0
-        else begin
-          Printf.eprintf "unknown experiment %S (try --list)\n" id;
-          1
-        end
+  match jobs with
+  | Some j when j < 1 ->
+      Printf.eprintf "experiments: --jobs must be at least 1 (got %d)\n" j;
+      1
+  | Some _ | None when list_flag ->
+      List.iter
+        (fun e ->
+          Printf.printf "%-4s %s\n" e.Baexperiments.All.id
+            e.Baexperiments.All.claim)
+        Baexperiments.All.experiments;
+      0
+  | Some _ | None -> (
+      match only with
+      | None ->
+          Baexperiments.All.run_all ~quick ?jobs ?json_path ();
+          0
+      | Some id ->
+          if Baexperiments.All.run_one ~quick ?jobs ?json_path id then 0
+          else begin
+            Printf.eprintf "unknown experiment %S (try --list)\n" id;
+            1
+          end)
 
 let cmd =
   let doc =

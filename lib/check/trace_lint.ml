@@ -229,16 +229,10 @@ let verify ?metrics ~model ~budget events =
 let verify_collector ?metrics ~model ~budget collector =
   verify ?metrics ~model ~budget (Trace.events collector)
 
-let events_of_jsonl contents =
-  String.split_on_char '\n' contents
-  |> List.filter_map (fun line ->
-         if String.trim line = "" then None
-         else Some (Trace.of_json (Baobs.Json.of_string line)))
-
 let load_jsonl path =
   let ic = open_in path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
       let len = in_channel_length ic in
-      events_of_jsonl (really_input_string ic len))
+      Trace.events_of_jsonl (really_input_string ic len))

@@ -78,11 +78,7 @@ val verify_collector :
   Basim.Trace.collector ->
   finding list
 
-val events_of_jsonl : string -> Basim.Trace.event list
-(** Parse the contents of a [--trace-jsonl] dump (one JSON object per
-    line, blank lines ignored) back into events.
-    @raise Baobs.Json.Parse_error on a malformed line. *)
-
 val load_jsonl : string -> Basim.Trace.event list
-(** {!events_of_jsonl} over a file path.
-    @raise Sys_error when unreadable. *)
+(** {!Basim.Trace.events_of_jsonl} over a file path.
+    @raise Sys_error when unreadable.
+    @raise Baobs.Json.Parse_error naming the malformed line. *)

@@ -366,12 +366,7 @@ let of_events ?n events =
     c_flows = flows;
     adversarial = !adversarial }
 
-let of_jsonl_string ?n text =
-  String.split_on_char '\n' text
-  |> List.filter_map (fun line ->
-         if String.trim line = "" then None
-         else Some (Trace.of_json (Baobs.Json.of_string line)))
-  |> of_events ?n
+let of_jsonl_string ?n text = of_events ?n (Trace.events_of_jsonl text)
 
 (* ---------- accessors --------------------------------------------------- *)
 

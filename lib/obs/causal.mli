@@ -85,9 +85,10 @@ val of_events : ?n:int -> Basim.Trace.event list -> t
     multicast's recipient count). *)
 
 val of_jsonl_string : ?n:int -> string -> t
-(** Parse a JSONL trace ({!Basim.Trace.of_json} per line, blank lines
-    skipped) and analyze it.
-    @raise Baobs.Json.Parse_error on a malformed line. *)
+(** Parse a JSONL trace ({!Basim.Trace.events_of_jsonl}) and analyze
+    it.
+    @raise Baobs.Json.Parse_error naming the line of a malformed
+    event. *)
 
 val n : t -> int
 

@@ -103,24 +103,8 @@ let of_events ?rounds events =
   List.iter record events;
   t
 
-let parse_jsonl text =
-  String.split_on_char '\n' text
-  |> List.filter_map (fun line ->
-         if String.trim line = "" then None
-         else Some (Trace.of_json (Baobs.Json.of_string line)))
-
-let of_jsonl_string ?rounds text = of_events ?rounds (parse_jsonl text)
-
-let of_jsonl_channel ?rounds ic =
-  let rec read acc =
-    match input_line ic with
-    | line -> read (if String.trim line = "" then acc else line :: acc)
-    | exception End_of_file -> List.rev acc
-  in
-  of_events ?rounds
-    (List.map
-       (fun line -> Trace.of_json (Baobs.Json.of_string line))
-       (read []))
+let of_jsonl_string ?rounds text =
+  of_events ?rounds (Trace.events_of_jsonl text)
 
 (* ---------- accessors --------------------------------------------------- *)
 

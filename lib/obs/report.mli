@@ -33,10 +33,9 @@ val of_events : ?rounds:int * int -> Basim.Trace.event list -> t
     @raise Invalid_argument if [lo > hi]. *)
 
 val of_jsonl_string : ?rounds:int * int -> string -> t
-(** Parse one [Basim.Trace.of_json] event per nonempty line.
-    @raise Baobs.Json.Parse_error on a malformed line. *)
-
-val of_jsonl_channel : ?rounds:int * int -> in_channel -> t
+(** {!of_events} over {!Basim.Trace.events_of_jsonl}.
+    @raise Baobs.Json.Parse_error naming the line of a malformed
+    event. *)
 
 val events : t -> Basim.Trace.event list
 

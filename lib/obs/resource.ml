@@ -1,7 +1,7 @@
 (* GC/memory telemetry. Sampling is counter reads over [Gc.counters]
    and [Gc.quick_stat] — it never triggers a collection and never touches protocol-visible
-   state, which is why a run recorded with [Engine.run ?resource] emits
-   a byte-identical trace to an unrecorded one (asserted in
+   state, which is why a run recorded through [Trace.resource_tracer]
+   emits a byte-identical trace to an unrecorded one (asserted in
    test/test_obs.ml). The recorder keeps one row per round plus a
    Bastats.Sketch of allocated-words-per-round, so the summary stays
    O(1) memory on arbitrarily long runs. *)
@@ -54,16 +54,6 @@ let delta ~before ~after =
     compactions = after.compactions - before.compactions;
     heap_growth_words = after.heap_words - before.heap_words }
 
-(* ---------- global switch (mirrors Probe) ------------------------------- *)
-
-let on = Atomic.make false
-
-let enable () = Atomic.set on true
-
-let disable () = Atomic.set on false
-
-let enabled () = Atomic.get on
-
 (* ---------- per-round recorder ------------------------------------------ *)
 
 type row = {
@@ -77,7 +67,7 @@ type row = {
 }
 
 type t = {
-  mutable pending : sample option;
+  mutable pending : (int * sample) option;  (* open window: round, start *)
   mutable rows_rev : row list;
   sketch : Bastats.Sketch.t;  (* allocated words per round, rounds >= 0 *)
 }
@@ -85,12 +75,10 @@ type t = {
 let create () =
   { pending = None; rows_rev = []; sketch = Bastats.Sketch.create () }
 
-let round_begin t = if Atomic.get on then t.pending <- Some (sample ())
-
-let round_end t ~round =
+let close t =
   match t.pending with
   | None -> ()
-  | Some before ->
+  | Some (round, before) ->
       t.pending <- None;
       let after = sample () in
       let d = delta ~before ~after in
@@ -104,6 +92,10 @@ let round_end t ~round =
           row_top_heap_words = after.top_heap_words }
         :: t.rows_rev;
       if round >= 0 then Bastats.Sketch.add t.sketch d.allocated_words
+
+let open_round t ~round =
+  close t;
+  t.pending <- Some (round, sample ())
 
 let rows t = List.rev t.rows_rev
 

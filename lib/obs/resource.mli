@@ -7,15 +7,15 @@
     instrument: cheap samplers over [Gc.quick_stat] (counter reads — no
     collection is triggered, no protocol-visible state is touched, so a
     recorded run's trace is byte-identical to an unrecorded one),
-    delta snapshots between them, a per-round series recorder the
-    engine fills via [Engine.run ?resource], and JSON
-    ([ba-resource/v1]) / CSV encoders plus the flatness check CI gates
-    on.
+    delta snapshots between them, a per-round recorder driven from the
+    trace stream, and JSON ([ba-resource/v1]) / CSV encoders plus the
+    flatness check CI gates on.
 
-    Like {!Probe}, recording is off by default behind a global switch:
-    {!round_begin} / {!round_end} short-circuit on one atomic load when
-    disabled, so an engine built with resource hooks in place costs
-    nothing unless a caller opts in. *)
+    The engine knows nothing of the recorder. A caller that wants rows
+    creates one, opens the setup window ([open_round ~round:(-1)])
+    before [Engine.run], hands the run [Trace.resource_tracer] — each
+    [Round_started r] event closes the open row and opens row [r] —
+    and {!close}s the last row when the run returns. *)
 
 (** {2 Samplers} *)
 
@@ -57,18 +57,11 @@ val delta : before:sample -> after:sample -> delta
     order on one domain (the counters are monotonic); only
     [heap_growth_words] can be negative. *)
 
-(** {2 Global switch (mirrors {!Probe})} *)
-
-val enable : unit -> unit
-
-val disable : unit -> unit
-
-val enabled : unit -> bool
-
 (** {2 Per-round recorder} *)
 
 type row = {
-  round : int;               (** [-1] = setup (env, static corruptions, init) *)
+  round : int;               (** [-1] = setup (env, static corruptions,
+                                 init — everything before round 0) *)
   row_allocated_words : float;
   row_promoted_words : float;
   minor_gcs : int;
@@ -81,12 +74,12 @@ type t
 
 val create : unit -> t
 
-val round_begin : t -> unit
-(** Open a round window (samples only when {!enabled}). *)
+val open_round : t -> round:int -> unit
+(** {!close} the open window, if any, then open one for [round]. *)
 
-val round_end : t -> round:int -> unit
-(** Close the window opened by {!round_begin} and append a {!row}.
-    A window opened while disabled records nothing. *)
+val close : t -> unit
+(** Close the open window, appending its {!row}; a no-op when no window
+    is open. *)
 
 val rows : t -> row list
 (** Recorded rows, in recording order. *)

@@ -43,11 +43,12 @@ type t = {
   n : int;
   mutable buckets : (int, int) Hashtbl.t option array;
   mutable used : int;  (* highest occupied index + 1 *)
+  totals : int array;  (* per kind, summed as cells are recorded *)
 }
 
 let create ~n =
   if n <= 0 then invalid_arg "Series.create: n must be positive";
-  { n; buckets = Array.make 8 None; used = 0 }
+  { n; buckets = Array.make 8 None; used = 0; totals = Array.make n_kinds 0 }
 
 let n_nodes t = t.n
 
@@ -71,9 +72,11 @@ let record ?(by = 1) t ~round ~node kind =
   if node < 0 || node >= t.n then invalid_arg "Series.record: node out of range";
   if by <> 0 then begin
     let b = bucket t (round + 1) in
-    let key = (node * n_kinds) + kind_index kind in
+    let ki = kind_index kind in
+    let key = (node * n_kinds) + ki in
     let prev = match Hashtbl.find_opt b key with Some v -> v | None -> 0 in
-    Hashtbl.replace b key (prev + by)
+    Hashtbl.replace b key (prev + by);
+    t.totals.(ki) <- t.totals.(ki) + by
   end
 
 let max_round t = t.used - 2
@@ -95,10 +98,7 @@ let fold t f acc =
   done;
   !acc
 
-let total t kind =
-  fold t
-    (fun acc ~round:_ ~node:_ k v -> if k = kind then acc + v else acc)
-    0
+let total t kind = t.totals.(kind_index kind)
 
 let round_total t ~round kind =
   if round + 1 < 0 || round + 1 >= t.used then 0

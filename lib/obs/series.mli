@@ -1,11 +1,12 @@
 (** Per-round × per-node × per-kind counter series.
 
-    Where [Basim.Metrics] keeps run-level aggregates, a series records
-    {e when} and {e by whom} each unit of communication happened — the
-    granularity at which the paper's claims are stated (per-round
-    multicast budgets, Ω(f²) removal counts). The engine fills one in
-    when handed via [?series]; aggregate totals are then derivable from
-    (and asserted against) the [Metrics] of the same run.
+    A series records {e when} and {e by whom} each unit of
+    communication happened — the granularity at which the paper's
+    claims are stated (per-round multicast budgets, Ω(f²) removal
+    counts). Every run's [Basim.Metrics] is backed by one: each
+    accounting event is recorded once, into its (round, node, kind)
+    cell, and the run-level aggregates are the per-kind {!total}s of
+    those cells ([Basim.Metrics.series] exposes the series).
 
     Rounds start at [-1]: setup-time corruptions use round [-1],
     matching the trace convention. Storage is sparse (hash buckets per
@@ -38,6 +39,7 @@ val record : ?by:int -> t -> round:int -> node:int -> kind -> unit
     @raise Invalid_argument if [round < -1] or [node] out of range. *)
 
 val total : t -> kind -> int
+(** Sum of every cell of [kind] — O(1): kept up to date by {!record}. *)
 
 val round_total : t -> round:int -> kind -> int
 

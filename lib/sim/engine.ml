@@ -116,13 +116,14 @@ let rec splice lst d tail =
     | x :: rest -> x :: splice rest (d - 1) tail
 
 (* ------------------------------------------------------------------ *)
-(* Sparse rounds: a protocol that knows which nodes can possibly act in
-   a round (committee sampling, shared-listener crowds) can drive phase
-   1 itself through a [sparse_step] hook instead of having the engine
-   call [step] on every active node. The engine still owns membership
-   of the active set, halt detection, wire buffering, adversary
-   refereeing and delivery, so traces/metrics/series stay byte-identical
-   whenever the hook emits exactly the sends the dense [step] would. *)
+(* Phase 1 is always a [sparse_step] hook. By default it is the dense
+   shim [sparse_of_step proto], which steps every active node; a
+   protocol that knows which nodes can possibly act in a round
+   (committee sampling, shared-listener crowds) can pass its own. The
+   engine still owns membership of the active set, halt detection,
+   wire buffering, adversary refereeing and delivery, so traces and
+   metrics stay byte-identical whenever the hook emits exactly the
+   sends the dense [step] would. *)
 
 type 'msg round_view = {
   rv_round : int;
@@ -138,10 +139,8 @@ type 'msg round_view = {
 type ('env, 'state, 'msg) sparse_step =
   'env -> states:'state array -> 'msg round_view -> unit
 
-(* The compatibility shim: any legacy dense protocol as a sparse step.
-   Iterating the active prefix in ascending order and emitting every
-   step's sends reproduces the dense phase 1 exactly (the engine's own
-   dense path is this same loop). *)
+(* The dense phase 1: step every active node in ascending order and
+   emit its sends. *)
 let sparse_of_step (proto : ('env, 'state, 'msg) protocol) :
     ('env, 'state, 'msg) sparse_step =
  fun env ~states rv ->
@@ -164,9 +163,8 @@ let p_step = Baobs.Probe.register "engine.honest_step"
 let p_adversary = Baobs.Probe.register "engine.adversary"
 let p_delivery = Baobs.Probe.register "engine.delivery"
 
-let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
-    ?(on_caps_mismatch = `Refuse) ?labeler ?sparse ?step_audit proto
-    ~adversary ~n ~budget ~inputs ~max_rounds ~seed =
+let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?(on_caps_mismatch = `Refuse)
+    ?labeler ?sparse proto ~adversary ~n ~budget ~inputs ~max_rounds ~seed =
   if Array.length inputs <> n then
     invalid_arg "Engine.run: inputs length must equal n";
   (* Causal recording: with a labeler, every wire gets a fresh per-run id
@@ -192,19 +190,6 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
     | None, _ | Some _, All -> []
     | Some _, Only targets -> targets
   in
-  (* Resource rows bracket whole phases and read only GC counters, so
-     they can never perturb the execution or its trace. *)
-  let res_begin () =
-    match resource with
-    | Some r -> Baobs.Resource.round_begin r
-    | None -> ()
-  in
-  let res_end ~round =
-    match resource with
-    | Some r -> Baobs.Resource.round_end r ~round
-    | None -> ()
-  in
-  res_begin ();
   (* Declaration-vs-model consistency, checked before a single round
      runs: an adversary whose declared capability set exceeds what its
      model grants is refused outright (or warned about, behind the
@@ -225,16 +210,12 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
       illegal "adversary %s did not declare the %s capability"
         adversary.adv_name (Capability.name cap)
   in
-  let srec ~round ~node kind by =
-    match series with
-    | Some s -> Baobs.Series.record ~by s ~round ~node kind
-    | None -> ()
-  in
   let root = Bacrypto.Rng.create seed in
   let env_rng = Bacrypto.Rng.split_named root "env" in
   let adv_rng = Bacrypto.Rng.split_named root "adversary" in
   let env = proto.make_env ~n env_rng in
   let tracker = Corruption.create ~n ~budget in
+  let metrics = Metrics.create ~n in
   let check_budget_bound () =
     match adversary.caps.Capability.budget_bound with
     | Some bound when Corruption.count tracker > bound ->
@@ -251,7 +232,7 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
       if not (Corruption.corrupt_now tracker ~round:(-1) i) then
         illegal "setup corruptions exceed budget";
       check_budget_bound ();
-      srec ~round:(-1) ~node:i Baobs.Series.Corruption 1;
+      Metrics.record_corruption metrics ~round:(-1) ~node:i;
       tracer (Trace.Corrupted { round = -1; node = i }))
     initial;
   let states =
@@ -259,14 +240,11 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
         let rng = Bacrypto.Rng.split_named root (Printf.sprintf "node-%d" me) in
         proto.init env ~rng ~n ~me ~input:inputs.(me))
   in
-  res_end ~round:(-1);
-  let metrics = Metrics.create ~n in
   (* Struct-of-arrays node bookkeeping: flat parallel arrays instead of
      per-node boxes. [halt_rounds_a] holds the halt round with -1 for
      "never" (the public [int option array] is materialized once, at the
      end); halt/membership/privacy flags are single bytes. *)
   let halt_rounds_a = Array.make n (-1) in
-  let stepped_b = Bytes.make n '\000' in
   let priv_b = Bytes.make n '\000' in
   let inboxes = Array.make n [] in
   let round = ref 0 in
@@ -311,21 +289,20 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
   let view_intents = Array.init n (fun i -> (i, [])) in
   let acc = Array.make n [] in
   let mark = Array.make n (-1) in
-  let audit_on = step_audit <> None in
-  (* Sends registered by a [?sparse] hook for node [i]. Registering for
+  (* Sends registered by the phase-1 hook for node [i]. Registering for
      a node outside the active set is refused — the engine's wire pass
      only scans the active prefix, and a silent miss there would be a
-     protocol bug; this check is also what the sparse-active qcheck
-     invariant leans on. *)
+     protocol bug. *)
   let emit i sends =
     if i < 0 || i >= n || Bytes.get active_b i <> '\001' then
       invalid_arg "Engine: sparse emit for an inactive node";
-    Bytes.unsafe_set stepped_b i '\001';
     intents.(i) <- sends
   in
+  let hook = match sparse with Some h -> h | None -> sparse_of_step proto in
+  let is_shared i = Bytes.get priv_b i = '\000' in
+  let inbox i = inboxes.(i) in
   while !running && !round < max_rounds do
     let r = !round in
-    res_begin ();
     Metrics.note_round metrics r;
     tracer (Trace.Round_started { round = r });
     (* Phase 1: honest nodes compute intents. *)
@@ -339,61 +316,29 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
     done;
     n_dirty := 0;
     let ids = active_ids in
-    (* A node halting this round: recorded (and traced) in ascending
-       node order, as phase 1 steps the active prefix. It stays in the
-       prefix until the end-of-round compaction. *)
-    let note_halt i =
-      halt_rounds_a.(i) <- r;
-      deactivate i;
-      if audit_on then Bytes.unsafe_set stepped_b i '\001';
-      tracer (Trace.Halted { round = r; node = i; output = proto.output states.(i) })
-    in
-    (match sparse with
-    | Some hook ->
-        let rv =
-          { rv_round = r;
-            rv_n = n;
-            rv_active = ids;
-            rv_n_active = !n_active;
-            rv_shared_inbox = !prev_shared;
-            rv_is_shared = (fun i -> Bytes.get priv_b i = '\000');
-            rv_inbox = (fun i -> inboxes.(i));
-            rv_emit = emit }
-        in
-        hook env ~states rv;
-        (* The hook may halt nodes it never individually stepped (a
-           shared crowd listener deciding wholesale), so halt detection
-           is a scan of the active prefix rather than a per-step check. *)
-        for k = 0 to !n_active - 1 do
-          let i = Array.unsafe_get ids k in
-          if proto.halted states.(i) && halt_rounds_a.(i) < 0 then note_halt i
-        done
-    | None ->
-        for k = 0 to !n_active - 1 do
-          let i = Array.unsafe_get ids k in
-          if not (proto.halted states.(i)) then begin
-            let state', sends =
-              proto.step env states.(i) ~round:r ~inbox:inboxes.(i)
-            in
-            states.(i) <- state';
-            intents.(i) <- sends;
-            if audit_on then Bytes.unsafe_set stepped_b i '\001';
-            if proto.halted state' && halt_rounds_a.(i) < 0 then note_halt i
-          end
-        done);
-    (* Report which nodes did per-node protocol work this round (full
-       steps, sparse emissions, halts), ascending — the observable the
-       sparse-active invariant tests assert on. *)
-    (match step_audit with
-    | None -> ()
-    | Some audit ->
-        let stepped = ref [] in
-        for k = !n_active - 1 downto 0 do
-          let i = Array.unsafe_get ids k in
-          if Bytes.unsafe_get stepped_b i = '\001' then stepped := i :: !stepped;
-          Bytes.unsafe_set stepped_b i '\000'
-        done;
-        audit ~round:r !stepped);
+    hook env ~states
+      { rv_round = r;
+        rv_n = n;
+        rv_active = ids;
+        rv_n_active = !n_active;
+        rv_shared_inbox = !prev_shared;
+        rv_is_shared = is_shared;
+        rv_inbox = inbox;
+        rv_emit = emit };
+    (* Halts are found by a scan of the active prefix, in ascending node
+       order, rather than per step: a hook may halt nodes it never
+       individually stepped (a shared crowd listener deciding
+       wholesale). A halter stays in the prefix until the end-of-round
+       compaction. *)
+    for k = 0 to !n_active - 1 do
+      let i = Array.unsafe_get ids k in
+      if proto.halted states.(i) then begin
+        halt_rounds_a.(i) <- r;
+        deactivate i;
+        tracer
+          (Trace.Halted { round = r; node = i; output = proto.output states.(i) })
+      end
+    done;
     (* Wires are buffered in ascending (node, send) order — the same order
        the old cons-list construction produced — in a second pass over the
        active prefix (which still includes this round's halters; the
@@ -481,7 +426,7 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
             illegal "corruption budget exhausted";
           if Bytes.get active_b i = '\001' then deactivate i;
           check_budget_bound ();
-          srec ~round:r ~node:i Baobs.Series.Corruption 1;
+          Metrics.record_corruption metrics ~round:r ~node:i;
           tracer (Trace.Corrupted { round = r; node = i })
       | Remove { victim; index } ->
           if not (Corruption.allows_removal adversary.model) then
@@ -495,8 +440,7 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
           let w = wires.wb_arr.(positions.(index)) in
           if w.erased then illegal "intent already erased";
           w.erased <- true;
-          Metrics.record_removal metrics;
-          srec ~round:r ~node:victim Baobs.Series.Removal 1;
+          Metrics.record_removal metrics ~round:r ~node:victim;
           tracer
             (Trace.Removed
                { round = r;
@@ -513,9 +457,7 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
             illegal "only corrupt nodes can be driven by the adversary";
           require_cap Capability.Injection;
           let bits = proto.msg_bits env payload in
-          Metrics.record_injection metrics ~bits;
-          srec ~round:r ~node:src Baobs.Series.Injection 1;
-          srec ~round:r ~node:src Baobs.Series.Injection_bits bits;
+          Metrics.record_injection metrics ~round:r ~node:src ~bits;
           let id = fresh_id () in
           let kind = kind_of_msg payload in
           let nrecip =
@@ -553,15 +495,10 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
         let bits = w.w_bits in
         (match w.w_dst with
         | All ->
-            Metrics.record_honest_multicast metrics ~bits;
-            srec ~round:r ~node:w.w_src Baobs.Series.Multicast 1;
-            srec ~round:r ~node:w.w_src Baobs.Series.Multicast_bits bits
+            Metrics.record_honest_multicast metrics ~round:r ~node:w.w_src ~bits
         | Only _ ->
-            let recipients = w.w_nrecip in
-            Metrics.record_honest_unicast metrics ~recipients ~bits;
-            srec ~round:r ~node:w.w_src Baobs.Series.Unicast recipients;
-            srec ~round:r ~node:w.w_src Baobs.Series.Unicast_bits
-              (recipients * bits));
+            Metrics.record_honest_unicast metrics ~round:r ~node:w.w_src
+              ~recipients:w.w_nrecip ~bits);
         if not w.erased then
           tracer
             (Trace.Sent
@@ -642,7 +579,6 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
     n_touched := 0;
     prev_shared := !shared;
     Baobs.Probe.stop p_delivery t_deliver;
-    res_end ~round:r;
     incr round;
     (* Compact the active prefix if this round dropped anyone (halts in
        phase 1, corruptions in phase 2), preserving ascending order. *)
@@ -660,15 +596,6 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
     end;
     if !n_active = 0 then running := false
   done;
-  (match series with
-  | Some s -> (
-      (* The aggregates must be derivable from the series: divergence
-         means an accounting bug in this very function. *)
-      match Metrics.agrees_with_series metrics s with
-      | Ok () -> ()
-      | Error msg ->
-          failwith ("Engine.run: metric series diverged from aggregates: " ^ msg))
-  | None -> ());
   let outputs = Array.map proto.output states in
   let corrupt = Array.init n (Corruption.is_corrupt tracker) in
   let halt_rounds =
@@ -693,8 +620,8 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
       all_honest_decided;
       halt_rounds } )
 
-let run ?tracer ?series ?resource ?on_caps_mismatch ?labeler ?sparse
-    ?step_audit proto ~adversary ~n ~budget ~inputs ~max_rounds ~seed =
+let run ?tracer ?on_caps_mismatch ?labeler ?sparse proto ~adversary ~n
+    ~budget ~inputs ~max_rounds ~seed =
   snd
-    (run_env ?tracer ?series ?resource ?on_caps_mismatch ?labeler ?sparse
-       ?step_audit proto ~adversary ~n ~budget ~inputs ~max_rounds ~seed)
+    (run_env ?tracer ?on_caps_mismatch ?labeler ?sparse proto ~adversary ~n
+       ~budget ~inputs ~max_rounds ~seed)

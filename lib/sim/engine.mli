@@ -138,22 +138,22 @@ type result = {
           terminate-cascade experiment measures the spread of these *)
 }
 
-(** {2 Sparse rounds}
+(** {2 Phase 1}
 
-    A protocol that can bound which nodes act in a round — committee
-    sampling, shared-listener crowds — may drive phase 1 itself through
-    a {!sparse_step} hook ({!run}'s [?sparse]) instead of having the
-    engine call [step] on all active nodes. The engine retains
-    everything else: it owns the active set, detects halts by scanning
-    it (so a hook may halt nodes wholesale, e.g. a crowd deciding),
-    buffers wires from the registered sends in ascending node order,
-    referees the adversary, and delivers. A hook that registers exactly
-    the sends the dense [step] would produce therefore yields
-    byte-identical traces, metrics, series and outputs — asserted
-    differentially in test/test_sparse.ml and by the CI [scale] job's
-    dense-vs-sparse [cmp]. {!sparse_of_step} is the compatibility shim:
-    it runs any legacy dense protocol under the hook interface,
-    trivially correctly. *)
+    Phase 1 — honest nodes computing their intents — is always a
+    {!sparse_step} hook. Without {!run}'s [?sparse] the engine uses
+    {!sparse_of_step}, which steps every active node; a protocol that
+    can bound which nodes act in a round — committee sampling,
+    shared-listener crowds — may pass its own hook instead. The engine
+    retains everything else: it owns the active set, detects halts by
+    scanning it after the hook returns (so a hook may halt nodes
+    wholesale, e.g. a crowd deciding), buffers wires from the
+    registered sends in ascending node order, referees the adversary,
+    and delivers. A hook that registers exactly the sends the dense
+    [step] would produce therefore yields byte-identical traces,
+    metrics and outputs — asserted differentially in
+    test/test_sparse.ml and by the CI [scale] job's dense-vs-sparse
+    [cmp]. *)
 
 type 'msg round_view = {
   rv_round : int;
@@ -176,10 +176,8 @@ type 'msg round_view = {
           [rv_is_shared]). *)
   rv_emit : int -> 'msg send list -> unit;
       (** Register a node's sends for this round (callable in any
-          order, last write wins; an empty list records that the node
-          did per-node work without sending — the step-audit
-          observable). @raise Invalid_argument for a node outside the
-          active set. *)
+          order, last write wins). @raise Invalid_argument for a node
+          outside the active set. *)
 }
 
 type ('env, 'state, 'msg) sparse_step =
@@ -187,22 +185,20 @@ type ('env, 'state, 'msg) sparse_step =
 (** One sparse phase 1: absorb [rv_shared_inbox] once for the crowd
     and per-node inboxes for divergent nodes, mutate [states] in place,
     and [rv_emit] every send the dense protocol would have produced.
-    Runs sequentially, like the dense phase 1. *)
+    Runs sequentially, on the calling domain. *)
 
 val sparse_of_step :
   ('env, 'state, 'msg) protocol -> ('env, 'state, 'msg) sparse_step
-(** The compatibility shim: step every active node through
-    [proto.step], exactly as the engine's dense phase 1 does. Useful as
-    a reference implementation and for differential tests. *)
+(** The dense phase 1, and {!run}'s default hook: step every active
+    node through [proto.step] in ascending order and [rv_emit] its
+    sends (an empty list included). Wrapping it is how a caller
+    observes per-node work on the dense path. *)
 
 val run :
   ?tracer:(Trace.event -> unit) ->
-  ?series:Baobs.Series.t ->
-  ?resource:Baobs.Resource.t ->
   ?on_caps_mismatch:[ `Refuse | `Warn ] ->
   ?labeler:('msg -> string) ->
   ?sparse:('env, 'state, 'msg) sparse_step ->
-  ?step_audit:(round:int -> int list -> unit) ->
   ('env, 'state, 'msg) protocol ->
   adversary:('env, 'msg) adversary ->
   n:int ->
@@ -212,25 +208,19 @@ val run :
   seed:int64 ->
   result
 (** Execute one run. Deterministic in [seed]. [tracer] receives one
-    {!Trace.event} per send/corruption/removal/injection/halt. [series],
-    when given, is filled with per-round × per-node counters recorded at
-    the same accounting points as {!Metrics} (and checked against the
-    aggregates at the end of the run). The engine's three phases are
-    additionally timed under the [engine.*] {!Baobs.Probe}s when the
-    probe registry is enabled.
+    {!Trace.event} per round start/send/corruption/removal/injection/
+    halt — the run's one observation stream; other observers (the JSONL
+    sink, {!Trace.resource_tracer}'s GC rows) ride on it. The result's
+    {!Metrics} hold the Definition-7 accounting per round and node
+    ({!Metrics.series}). The engine's three phases are additionally
+    timed under the [engine.*] {!Baobs.Probe}s when the probe registry
+    is enabled.
 
     {b Sequential phase 1.} Each round's honest steps run one after
     another in ascending node order, on the calling domain. Protocol
     envs may therefore keep plain, unsynchronised caches and counters;
     parallelism lives one level up, where independent trials (each
     with its own env) run on separate domains.
-
-    [resource], when given (and {!Baobs.Resource.enabled}), receives
-    one GC/memory row per round — allocated words, promotions,
-    collection counts, heap size — with setup (env, static corruptions,
-    node init) recorded as round [-1], matching the trace convention.
-    Sampling only reads GC counters, so enabling it cannot perturb the
-    execution: the trace is byte-identical with recording on or off.
 
     {b Causal recording.} [labeler], when given, switches the trace into
     causal-recording mode: every wire (honest send, injection) is
@@ -245,14 +235,8 @@ val run :
     observable effect. The labeler must be pure (evaluated once per
     wire).
 
-    {b Sparse rounds.} [sparse], when given, replaces the engine's dense
-    phase 1 with the hook (see {!sparse_step}). [step_audit], when
-    given, is called once per round with the ascending list of active
-    nodes that did per-node protocol work that round — every stepped
-    node on the dense path; emitters, halters and individually-stepped
-    divergent nodes under a sparse hook. Auditing allocates one list
-    per round but touches no protocol-visible state, so traces are
-    unchanged by it.
+    {b Phase 1.} [sparse], when given, replaces the default
+    [sparse_of_step proto] hook (see {!sparse_step}).
 
     [on_caps_mismatch] (default [`Refuse]) governs what happens when the
     adversary's declared {!Capability.decl} is inconsistent with its
@@ -265,12 +249,9 @@ val run :
 
 val run_env :
   ?tracer:(Trace.event -> unit) ->
-  ?series:Baobs.Series.t ->
-  ?resource:Baobs.Resource.t ->
   ?on_caps_mismatch:[ `Refuse | `Warn ] ->
   ?labeler:('msg -> string) ->
   ?sparse:('env, 'state, 'msg) sparse_step ->
-  ?step_audit:(round:int -> int list -> unit) ->
   ('env, 'state, 'msg) protocol ->
   adversary:('env, 'msg) adversary ->
   n:int ->

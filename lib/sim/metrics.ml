@@ -1,90 +1,69 @@
-type t = {
-  n : int;
-  mutable multicasts : int;
-  mutable multicast_bits : int;
-  mutable unicasts : int;
-  mutable unicast_bits : int;
-  mutable removals : int;
-  mutable injections : int;
-  mutable injection_bits : int;
-  mutable max_round : int;
-}
+module S = Baobs.Series
 
-let create ~n =
-  { n;
-    multicasts = 0;
-    multicast_bits = 0;
-    unicasts = 0;
-    unicast_bits = 0;
-    removals = 0;
-    injections = 0;
-    injection_bits = 0;
-    max_round = -1 }
+(* Every accounting event lands in exactly one series cell; the
+   aggregates below are the series' per-kind totals. *)
+type t = { series : S.t; mutable max_round : int }
 
-let record_honest_multicast t ~bits =
-  t.multicasts <- t.multicasts + 1;
-  t.multicast_bits <- t.multicast_bits + bits
+let create ~n = { series = S.create ~n; max_round = -1 }
 
-let record_honest_unicast t ~recipients ~bits =
-  t.unicasts <- t.unicasts + recipients;
-  t.unicast_bits <- t.unicast_bits + (recipients * bits)
+let series t = t.series
 
-let record_removal t = t.removals <- t.removals + 1
+let record_honest_multicast t ~round ~node ~bits =
+  S.record t.series ~round ~node S.Multicast;
+  S.record ~by:bits t.series ~round ~node S.Multicast_bits
 
-let record_injection t ~bits =
-  t.injections <- t.injections + 1;
-  t.injection_bits <- t.injection_bits + bits
+let record_honest_unicast t ~round ~node ~recipients ~bits =
+  S.record ~by:recipients t.series ~round ~node S.Unicast;
+  S.record ~by:(recipients * bits) t.series ~round ~node S.Unicast_bits
+
+let record_removal t ~round ~node = S.record t.series ~round ~node S.Removal
+
+let record_injection t ~round ~node ~bits =
+  S.record t.series ~round ~node S.Injection;
+  S.record ~by:bits t.series ~round ~node S.Injection_bits
+
+let record_corruption t ~round ~node =
+  S.record t.series ~round ~node S.Corruption
 
 let note_round t r = if r > t.max_round then t.max_round <- r
 
-let honest_multicasts t = t.multicasts
+let n t = S.n_nodes t.series
 
-let honest_multicast_bits t = t.multicast_bits
+let honest_multicasts t = S.total t.series S.Multicast
 
-let honest_unicasts t = t.unicasts
+let honest_multicast_bits t = S.total t.series S.Multicast_bits
 
-let classical_messages t = (t.multicasts * t.n) + t.unicasts
+let honest_unicasts t = S.total t.series S.Unicast
 
-let classical_bits t = (t.multicast_bits * t.n) + t.unicast_bits
+let unicast_bits t = S.total t.series S.Unicast_bits
 
-let removals t = t.removals
+let classical_messages t = (honest_multicasts t * n t) + honest_unicasts t
 
-let injections t = t.injections
+let classical_bits t = (honest_multicast_bits t * n t) + unicast_bits t
+
+let removals t = S.total t.series S.Removal
+
+let injections t = S.total t.series S.Injection
 
 let rounds t = t.max_round + 1
 
 let pp fmt t =
   Format.fprintf fmt
     "rounds=%d multicasts=%d (%d bits) unicasts=%d removals=%d injections=%d"
-    (rounds t) t.multicasts t.multicast_bits t.unicasts t.removals t.injections
+    (rounds t) (honest_multicasts t) (honest_multicast_bits t)
+    (honest_unicasts t) (removals t) (injections t)
 
 let to_json t =
   let open Baobs.Json in
   Obj
-    [ ("n", Int t.n);
+    [ ("n", Int (n t));
       ("rounds", Int (rounds t));
-      ("multicasts", Int t.multicasts);
-      ("multicast_bits", Int t.multicast_bits);
-      ("unicasts", Int t.unicasts);
-      ("unicast_bits", Int t.unicast_bits);
-      ("removals", Int t.removals);
-      ("injections", Int t.injections);
-      ("injection_bits", Int t.injection_bits);
+      ("multicasts", Int (honest_multicasts t));
+      ("multicast_bits", Int (honest_multicast_bits t));
+      ("unicasts", Int (honest_unicasts t));
+      ("unicast_bits", Int (unicast_bits t));
+      ("removals", Int (removals t));
+      ("injections", Int (injections t));
+      ("injection_bits", Int (S.total t.series S.Injection_bits));
       ("classical_messages", Int (classical_messages t));
       ("classical_bits", Int (classical_bits t)) ]
-
-let agrees_with_series t series =
-  let open Baobs.Series in
-  let checks =
-    [ ("multicasts", t.multicasts, total series Multicast);
-      ("multicast_bits", t.multicast_bits, total series Multicast_bits);
-      ("unicasts", t.unicasts, total series Unicast);
-      ("unicast_bits", t.unicast_bits, total series Unicast_bits);
-      ("removals", t.removals, total series Removal);
-      ("injections", t.injections, total series Injection);
-      ("injection_bits", t.injection_bits, total series Injection_bits) ]
-  in
-  match List.find_opt (fun (_, a, b) -> a <> b) checks with
-  | None -> Ok ()
-  | Some (name, a, b) ->
-      Error (Printf.sprintf "%s: metrics=%d series=%d" name a b)

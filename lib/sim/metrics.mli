@@ -11,24 +11,32 @@
 
     We additionally track message {e counts} (multicasts and pairwise),
     adversarial removals (after-the-fact erasures), and corrupt
-    injections, which the experiments report alongside bits. *)
+    injections, which the experiments report alongside bits.
+
+    Each accounting event is recorded once, into its per-(round, node,
+    kind) cell of a {!Baobs.Series}; every aggregate below is read from
+    those cells. Rounds follow the trace convention (setup = [-1]). *)
 
 type t
 
 val create : n:int -> t
 
-val record_honest_multicast : t -> bits:int -> unit
-(** One honest multicast of [bits] bits. *)
+val record_honest_multicast : t -> round:int -> node:int -> bits:int -> unit
+(** One honest multicast of [bits] bits by [node]. *)
 
-val record_honest_unicast : t -> recipients:int -> bits:int -> unit
+val record_honest_unicast :
+  t -> round:int -> node:int -> recipients:int -> bits:int -> unit
 (** One honest targeted send to [recipients] nodes (pairwise-channel
     protocols only; not counted as a multicast). *)
 
-val record_removal : t -> unit
-(** The adversary erased an honest send after the fact. *)
+val record_removal : t -> round:int -> node:int -> unit
+(** The adversary erased an honest send of [node] after the fact. *)
 
-val record_injection : t -> bits:int -> unit
-(** A corrupt node sent a message. *)
+val record_injection : t -> round:int -> node:int -> bits:int -> unit
+(** Corrupt node [node] sent a message. *)
+
+val record_corruption : t -> round:int -> node:int -> unit
+(** [node] was corrupted (counted in the series only). *)
 
 val note_round : t -> int -> unit
 (** Record that round [r] executed (keeps the max). *)
@@ -59,7 +67,6 @@ val pp : Format.formatter -> t -> unit
 
 val to_json : t -> Baobs.Json.t
 
-val agrees_with_series : t -> Baobs.Series.t -> (unit, string) result
-(** Check that every aggregate equals the corresponding
-    {!Baobs.Series} total — the series must be from the same run. The
-    engine asserts this at the end of every run that records a series. *)
+val series : t -> Baobs.Series.t
+(** The per-round × per-node cells the aggregates are read from —
+    what [ba_run --metrics-json] exports under ["series"]. *)

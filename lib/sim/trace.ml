@@ -230,27 +230,24 @@ let length c = c.total
 let count c p =
   List.fold_left (fun acc e -> if p e then acc + 1 else acc) 0 c.rev_events
 
-type ring = event Baobs.Ring.t
-
-let ring ~capacity = Baobs.Ring.create ~capacity
-
-let observe_ring = Baobs.Ring.add
-
-let ring_events = Baobs.Ring.to_list
-
-let ring_dropped = Baobs.Ring.dropped
-
 (* ---------- sinks ------------------------------------------------------- *)
 
-let jsonl_tracer ?kinds ?min_round ?max_round sink =
-  let keep e =
-    (match kinds with
-    | None -> true
-    | Some ks -> List.mem (kind_of e) ks)
-    && (match min_round with None -> true | Some lo -> round_of e >= lo)
-    && match max_round with None -> true | Some hi -> round_of e <= hi
-  in
-  fun e -> if keep e then Baobs.Jsonl.emit sink (to_json e)
+let jsonl_tracer sink e = Baobs.Jsonl.emit sink (to_json e)
+
+let events_of_jsonl text =
+  String.split_on_char '\n' text
+  |> List.mapi (fun i line -> (i + 1, line))
+  |> List.filter_map (fun (lineno, line) ->
+         if String.trim line = "" then None
+         else
+           try Some (of_json (Baobs.Json.of_string line))
+           with Baobs.Json.Parse_error e ->
+             raise
+               (Baobs.Json.Parse_error (Printf.sprintf "line %d: %s" lineno e)))
+
+let resource_tracer r = function
+  | Round_started { round } -> Baobs.Resource.open_round r ~round
+  | Sent _ | Corrupted _ | Removed _ | Injected _ | Halted _ -> ()
 
 let render ?(max_rounds = 30) c =
   let buf = Buffer.create 1024 in

@@ -3,9 +3,9 @@
     The engine can emit one {!event} per noteworthy occurrence — sends,
     corruptions, after-the-fact removals, injections, halts — to an
     observer callback. Observers on offer: a {!collector} that gathers
-    everything (tests, the CLI's [--trace] mode), a bounded {!ring} that
-    keeps only the latest events, and a streaming {!jsonl_tracer} that
-    writes one JSON object per event with optional kind/round filters.
+    everything (tests, the CLI's [--trace] mode), a streaming
+    {!jsonl_tracer} that writes one JSON object per event, and
+    {!resource_tracer}, which turns round boundaries into GC rows.
     Rendering is message-agnostic so one tracer serves every protocol.
 
     {b Causal recording.} The message-bearing events ([Sent], [Removed],
@@ -113,28 +113,21 @@ val count : collector -> (event -> bool) -> int
 val length : collector -> int
 (** Total events observed. *)
 
-type ring
-(** Bounded collector: keeps the last [capacity] events, dropping the
-    oldest — constant memory on arbitrarily long runs. *)
+val jsonl_tracer : Baobs.Jsonl.t -> event -> unit
+(** Streaming tracer: each event is written to the sink as one JSON
+    line. *)
 
-val ring : capacity:int -> ring
+val events_of_jsonl : string -> event list
+(** Parse a JSONL trace (blank lines skipped) — the inverse of
+    {!jsonl_tracer}.
+    @raise Baobs.Json.Parse_error naming the 1-based line of the first
+    malformed event, e.g. [line 3: at 63: unterminated string]. *)
 
-val observe_ring : ring -> event -> unit
-
-val ring_events : ring -> event list
-(** Retained events, oldest first. *)
-
-val ring_dropped : ring -> int
-
-val jsonl_tracer :
-  ?kinds:string list ->
-  ?min_round:int ->
-  ?max_round:int ->
-  Baobs.Jsonl.t ->
-  event ->
-  unit
-(** Streaming tracer: each event passing the filters is written to the
-    sink as one JSON line. [kinds] filters on {!kind_of} tags. *)
+val resource_tracer : Baobs.Resource.t -> event -> unit
+(** Drives a {!Baobs.Resource} recorder from the trace: each
+    [Round_started r] closes the open row and opens row [r]. The
+    caller opens the setup row ([round = -1]) before the run and
+    closes the last row after it. *)
 
 val render : ?max_rounds:int -> collector -> string
 (** Human-readable, per-round digest of the trace (rounds beyond

@@ -445,18 +445,18 @@ let test_shm_forged_endorsement_after_cache () =
 
 (* --- ba_run command line ---------------------------------------------------- *)
 
-let ba_run_exe = "../bin/ba_run.exe"
+let bin exe = Filename.concat "../bin" (exe ^ ".exe")
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-(* Runs [ba_run args] with stdout and stderr captured; returns the exit
+(* Runs [exe args] with stdout and stderr captured; returns the exit
    code and both outputs. *)
-let ba_run args =
-  let out = Filename.temp_file "ba_run" ".out"
-  and err = Filename.temp_file "ba_run" ".err" in
+let run_cli exe args =
+  let out = Filename.temp_file exe ".out"
+  and err = Filename.temp_file exe ".err" in
   let code =
     Sys.command
-      (Printf.sprintf "%s %s >%s 2>%s" ba_run_exe args (Filename.quote out)
+      (Printf.sprintf "%s %s >%s 2>%s" (bin exe) args (Filename.quote out)
          (Filename.quote err))
   in
   let stdout = read_file out and stderr = read_file err in
@@ -464,16 +464,26 @@ let ba_run args =
   Sys.remove err;
   (code, stdout, stderr)
 
+let ba_run = run_cli "ba_run"
+
 let test_cli_parameter_validation () =
   List.iter
-    (fun args ->
-      let code, _, stderr = ba_run args in
-      Alcotest.(check int) (args ^ ": exit") 1 code;
+    (fun (exe, args) ->
+      let code, _, stderr = run_cli exe args in
+      let name = exe ^ " " ^ args in
+      Alcotest.(check int) (name ^ ": exit") 1 code;
       Alcotest.(check int)
-        (args ^ ": one-line message")
+        (name ^ ": one-line message")
         1
         (List.length (String.split_on_char '\n' (String.trim stderr))))
-    [ "-p sub-hm -n 5 -f 9"; "-p sub-hm -n 11 --lambda 0"; "-p quadratic-hm -n 10" ]
+    [ ("ba_run", "-p sub-hm -n 5 -f 9");
+      ("ba_run", "-p sub-hm -n 11 --lambda 0");
+      ("ba_run", "-p quadratic-hm -n 10");
+      ("ba_explore", "--protocol sub-third -n 3 --budget 5");
+      ("ba_explore", "--protocol sub-third -n 3 --lambda 0");
+      ("ba_explore", "--protocol sub-third -n 3 --epochs 0");
+      ("ba_explore", "--protocol static-committee -n 3 --committee 9");
+      ("experiments", "--jobs 0") ]
 
 let test_cli_sweep_jobs_identical () =
   let sweep jobs =

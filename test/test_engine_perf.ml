@@ -8,9 +8,9 @@
    multicast/unicast intents (including out-of-range and duplicate
    targets), halts, setup and mid-round corruptions, after-the-fact
    removals, and injections — must produce identical per-round inboxes,
-   identical trace event streams, identical metrics, and identical result
-   summaries under both. The real runs also pass [?series], so the
-   engine's internal [Metrics.agrees_with_series] assertion is armed. *)
+   identical trace event streams, identical metrics (per-round,
+   per-node series included), and identical result summaries under
+   both. *)
 
 open Basim
 
@@ -77,7 +77,7 @@ type rwire = {
 type run_summary = {
   logs : ((int * int) * (int * int) list) list;  (* ((round, node), inbox) *)
   events : Trace.event list;
-  metrics_json : string;
+  metrics_json : string;  (* aggregates, then the per-round series *)
   outputs : bool option array;
   corrupt : bool array;
   corruptions : int;
@@ -85,6 +85,10 @@ type run_summary = {
   all_honest_decided : bool;
   halt_rounds : int option array;
 }
+
+let metrics_json m =
+  Baobs.Json.to_string (Metrics.to_json m)
+  ^ Baobs.Json.to_string (Baobs.Series.to_json (Metrics.series m))
 
 let recipients_of n = function
   | Engine.All -> n
@@ -105,6 +109,7 @@ let run_reference plan =
         corrupt.(i) <- true;
         incr corruptions
       end;
+      Metrics.record_corruption metrics ~round:(-1) ~node:i;
       emit (Trace.Corrupted { round = -1; node = i }))
     plan.setup_corrupt;
   let inboxes = Array.make n [] in
@@ -144,6 +149,7 @@ let run_reference plan =
               corrupt.(i) <- true;
               incr corruptions
             end;
+            Metrics.record_corruption metrics ~round:r ~node:i;
             emit (Trace.Corrupted { round = r; node = i })
         | Engine.Remove { victim; index } ->
             let seen = ref 0 in
@@ -153,7 +159,7 @@ let run_reference plan =
                   if !seen = index then begin
                     assert (not w.r_erased);
                     w.r_erased <- true;
-                    Metrics.record_removal metrics;
+                    Metrics.record_removal metrics ~round:r ~node:victim;
                     emit
                       (Trace.Removed
                          { round = r;
@@ -169,7 +175,8 @@ let run_reference plan =
                 end)
               wires
         | Engine.Inject { src; dst; payload } ->
-            Metrics.record_injection metrics ~bits:(msg_bits payload);
+            Metrics.record_injection metrics ~round:r ~node:src
+              ~bits:(msg_bits payload);
             emit
               (Trace.Injected
                  { round = r; src; recipients = recipients_of n dst;
@@ -187,9 +194,11 @@ let run_reference plan =
         if w.r_honest then begin
           let bits = msg_bits w.r_payload in
           (match w.r_dst with
-          | Engine.All -> Metrics.record_honest_multicast metrics ~bits
+          | Engine.All ->
+              Metrics.record_honest_multicast metrics ~round:r ~node:w.r_src
+                ~bits
           | Engine.Only targets ->
-              Metrics.record_honest_unicast metrics
+              Metrics.record_honest_unicast metrics ~round:r ~node:w.r_src
                 ~recipients:(List.length targets) ~bits);
           if not w.r_erased then
             emit
@@ -242,7 +251,7 @@ let run_reference plan =
   in
   { logs = List.rev !log;
     events = List.rev !events;
-    metrics_json = Baobs.Json.to_string (Metrics.to_json metrics);
+    metrics_json = metrics_json metrics;
     outputs;
     corrupt;
     corruptions = !corruptions;
@@ -250,16 +259,12 @@ let run_reference plan =
     all_honest_decided;
     halt_rounds }
 
-(* The series rides along so the engine's internal
-   [Metrics.agrees_with_series] assertion is armed. *)
 let run_real plan =
   let log = Array.init plan.n (fun _ -> ref []) in
   let collector = Trace.collector () in
-  let series = Baobs.Series.create ~n:plan.n in
   let result =
     Engine.run
       ~tracer:(Trace.observe collector)
-      ~series
       (scripted plan log)
       ~adversary:(script_adversary plan)
       ~n:plan.n ~budget:plan.n
@@ -273,7 +278,7 @@ let run_real plan =
   in
   { logs;
     events = Trace.events collector;
-    metrics_json = Baobs.Json.to_string (Metrics.to_json result.Engine.metrics);
+    metrics_json = metrics_json result.Engine.metrics;
     outputs = result.Engine.outputs;
     corrupt = result.Engine.corrupt;
     corruptions = result.Engine.corruptions;
@@ -450,16 +455,13 @@ let protocol_differential (type env state msg) name
     ~max_rounds ~seed () =
   let execute () =
     let collector = Trace.collector () in
-    let series = Baobs.Series.create ~n in
     let result =
       Engine.run
         ~tracer:(Trace.observe collector)
-        ~series proto ~adversary:(make_adv ()) ~n ~budget ~inputs ~max_rounds
-        ~seed
+        proto ~adversary:(make_adv ()) ~n ~budget ~inputs ~max_rounds ~seed
     in
     ( Trace.events collector,
-      Baobs.Json.to_string (Metrics.to_json result.Engine.metrics),
-      Baobs.Json.to_string (Baobs.Series.to_json series),
+      metrics_json result.Engine.metrics,
       result.Engine.outputs,
       result.Engine.halt_rounds,
       result.Engine.corrupt,

@@ -79,15 +79,6 @@ let test_ring_drops_oldest () =
   Alcotest.(check int) "length" 5 (Baobs.Ring.length r);
   Alcotest.(check int) "dropped" 3 (Baobs.Ring.dropped r)
 
-let test_trace_ring () =
-  let ring = Trace.ring ~capacity:3 in
-  for round = 0 to 9 do
-    Trace.observe_ring ring (Trace.Round_started { round })
-  done;
-  Alcotest.(check int) "dropped" 7 (Trace.ring_dropped ring);
-  Alcotest.(check (list int)) "latest rounds retained" [ 7; 8; 9 ]
-    (List.map Trace.round_of (Trace.ring_events ring))
-
 (* --- Probe ----------------------------------------------------------------- *)
 
 let test_probe_spans () =
@@ -161,103 +152,94 @@ let run_sub_hm_with_series ~n ~lambda ~max_epochs ~budget ~adversary ~inputs
     ~seed =
   let params = Params.make ~lambda ~max_epochs () in
   let proto = Sub_hm.protocol ~params ~world:`Hybrid in
-  let series = Baobs.Series.create ~n in
   let buf = Buffer.create 4096 in
   let sink = Baobs.Jsonl.to_buffer buf in
   let result =
     Engine.run
       ~tracer:(Trace.jsonl_tracer sink)
-      ~series proto ~adversary ~n ~budget ~inputs
+      proto ~adversary ~n ~budget ~inputs
       ~max_rounds:((4 * max_epochs) + 12) ~seed
   in
-  (result, series, Buffer.contents buf)
+  (result, Metrics.series result.Engine.metrics, Buffer.contents buf)
 
-(* Rebuild Definition-7 aggregates from a JSONL trace: erased honest
-   sends appear as [removed] events carrying their shape. *)
-type replay = {
-  mutable r_multicasts : int;
-  mutable r_multicast_bits : int;
-  mutable r_unicasts : int;
-  mutable r_removals : int;
-  mutable r_injections : int;
-}
-
+(* Rebuild the Definition-7 accounting from a JSONL trace, cell by
+   (round, node, kind) cell: erased honest sends appear as [removed]
+   events carrying their shape. Unlabeled traces omit an injection's
+   bits, so that one kind is not replayed. *)
 let replay_of_jsonl text =
-  let totals =
-    { r_multicasts = 0;
-      r_multicast_bits = 0;
-      r_unicasts = 0;
-      r_removals = 0;
-      r_injections = 0 }
+  let cells = Hashtbl.create 256 in
+  let add round node (kind : Baobs.Series.kind) by =
+    if by <> 0 then
+      Hashtbl.replace cells (round, node, kind)
+        (by + Option.value (Hashtbl.find_opt cells (round, node, kind)) ~default:0)
   in
-  let per_round : (int, int * int) Hashtbl.t = Hashtbl.create 64 in
-  let lines = String.split_on_char '\n' text in
   List.iter
     (fun line ->
-      if String.length line > 0 then begin
+      if line <> "" then begin
         let j = Baobs.Json.of_string line in
-        let event = Baobs.Json.(as_string (member_exn "event" j)) in
-        let round () = Baobs.Json.(as_int (member_exn "round" j)) in
-        let honest_send () =
-          let multicast = Baobs.Json.(as_bool (member_exn "multicast" j)) in
-          let bits = Baobs.Json.(as_int (member_exn "bits" j)) in
-          let recipients = Baobs.Json.(as_int (member_exn "recipients" j)) in
-          if multicast then begin
-            totals.r_multicasts <- totals.r_multicasts + 1;
-            totals.r_multicast_bits <- totals.r_multicast_bits + bits;
-            let mc, mb =
-              match Hashtbl.find_opt per_round (round ()) with
-              | Some x -> x
-              | None -> (0, 0)
-            in
-            Hashtbl.replace per_round (round ()) (mc + 1, mb + bits)
+        let int k = Baobs.Json.(as_int (member_exn k j)) in
+        let honest_send node =
+          let round = int "round" and bits = int "bits" in
+          if Baobs.Json.(as_bool (member_exn "multicast" j)) then begin
+            add round node Baobs.Series.Multicast 1;
+            add round node Baobs.Series.Multicast_bits bits
           end
-          else totals.r_unicasts <- totals.r_unicasts + recipients
+          else begin
+            let recipients = int "recipients" in
+            add round node Baobs.Series.Unicast recipients;
+            add round node Baobs.Series.Unicast_bits (recipients * bits)
+          end
         in
-        match event with
-        | "sent" -> honest_send ()
+        match Baobs.Json.(as_string (member_exn "event" j)) with
+        | "sent" -> honest_send (int "node")
         | "removed" ->
-            totals.r_removals <- totals.r_removals + 1;
-            honest_send ()
-        | "injected" -> totals.r_injections <- totals.r_injections + 1
+            add (int "round") (int "victim") Baobs.Series.Removal 1;
+            honest_send (int "victim")
+        | "injected" -> add (int "round") (int "src") Baobs.Series.Injection 1
+        | "corrupted" -> add (int "round") (int "node") Baobs.Series.Corruption 1
         | _ -> ()
       end)
-    lines;
-  (totals, per_round)
+    (String.split_on_char '\n' text);
+  cells
 
+let cell_string (round, node, kind) v =
+  Printf.sprintf "r%d n%d %s=%d" round node (Baobs.Series.kind_name kind) v
+
+(* The trace replay is the independent check of the engine's one
+   accounting path: the aggregates and every series cell must equal
+   what the trace says happened. *)
 let check_trace_matches_metrics name (result : Engine.result) series jsonl =
   let m = result.Engine.metrics in
-  let totals, per_round = replay_of_jsonl jsonl in
+  let replayed = replay_of_jsonl jsonl in
+  let replay_total kind =
+    Hashtbl.fold
+      (fun (_, _, k) v acc -> if k = kind then acc + v else acc)
+      replayed 0
+  in
   Alcotest.(check int) (name ^ ": multicasts") (Metrics.honest_multicasts m)
-    totals.r_multicasts;
+    (replay_total Baobs.Series.Multicast);
   Alcotest.(check int)
     (name ^ ": multicast bits")
     (Metrics.honest_multicast_bits m)
-    totals.r_multicast_bits;
+    (replay_total Baobs.Series.Multicast_bits);
   Alcotest.(check int) (name ^ ": unicasts") (Metrics.honest_unicasts m)
-    totals.r_unicasts;
+    (replay_total Baobs.Series.Unicast);
   Alcotest.(check int) (name ^ ": removals") (Metrics.removals m)
-    totals.r_removals;
+    (replay_total Baobs.Series.Removal);
   Alcotest.(check int) (name ^ ": injections") (Metrics.injections m)
-    totals.r_injections;
-  (* Each JSONL line must be an object tagged with an event kind; the
-     per-round totals must agree with the metric series cell sums. *)
-  for round = 0 to Metrics.rounds m - 1 do
-    let mc, mb =
-      match Hashtbl.find_opt per_round round with Some x -> x | None -> (0, 0)
-    in
-    Alcotest.(check int)
-      (Printf.sprintf "%s: round %d multicasts" name round)
-      (Baobs.Series.round_total series ~round Baobs.Series.Multicast)
-      mc;
-    Alcotest.(check int)
-      (Printf.sprintf "%s: round %d multicast bits" name round)
-      (Baobs.Series.round_total series ~round Baobs.Series.Multicast_bits)
-      mb
-  done;
-  match Metrics.agrees_with_series m series with
-  | Ok () -> ()
-  | Error msg -> Alcotest.fail (name ^ ": series disagrees: " ^ msg)
+    (replay_total Baobs.Series.Injection);
+  let recorded =
+    Baobs.Series.fold series
+      (fun acc ~round ~node kind v ->
+        if kind = Baobs.Series.Injection_bits then acc
+        else cell_string (round, node, kind) v :: acc)
+      []
+  in
+  Alcotest.(check (list string))
+    (name ^ ": series cells = trace replay")
+    (List.sort String.compare
+       (Hashtbl.fold (fun key v acc -> cell_string key v :: acc) replayed []))
+    (List.sort String.compare recorded)
 
 let test_series_matches_metrics_e1 () =
   (* E1 scenario: strongly adaptive eraser vs sub-hm — exercises
@@ -348,33 +330,6 @@ let test_jsonl_sink_valid_lines () =
                  "halted" ])
       | _ -> Alcotest.fail "JSONL line is not an object")
     lines
-
-(* An unlabeled Sent event (the sentinel causal fields of a run without
-   causal recording). *)
-let sent ~round ~node ~multicast ~recipients =
-  Trace.Sent
-    { round; node; multicast; recipients; bits = 8; id = Trace.no_id;
-      kind = Trace.no_kind; targets = [] }
-
-let test_jsonl_filters () =
-  let buf = Buffer.create 256 in
-  let sink = Baobs.Jsonl.to_buffer buf in
-  let tracer =
-    Trace.jsonl_tracer ~kinds:[ "sent" ] ~min_round:1 ~max_round:2 sink
-  in
-  tracer (Trace.Round_started { round = 1 });
-  tracer (sent ~round:0 ~node:0 ~multicast:true ~recipients:5);
-  tracer (sent ~round:1 ~node:1 ~multicast:true ~recipients:5);
-  tracer (sent ~round:2 ~node:2 ~multicast:false ~recipients:1);
-  tracer (sent ~round:3 ~node:3 ~multicast:true ~recipients:5);
-  Alcotest.(check int) "two lines pass the filters" 2 (Baobs.Jsonl.emitted sink);
-  let nodes =
-    String.split_on_char '\n' (Buffer.contents buf)
-    |> List.filter (fun l -> l <> "")
-    |> List.map (fun l ->
-           Baobs.Json.(as_int (member_exn "node" (of_string l))))
-  in
-  Alcotest.(check (list int)) "rounds 1-2 only" [ 1; 2 ] nodes
 
 (* --- Ring / Csv edge cases -------------------------------------------------- *)
 
@@ -791,27 +746,33 @@ let test_resource_delta_nonnegative () =
     (z.Baobs.Resource.allocated_words = 0.0
     && z.Baobs.Resource.minor_collections = 0)
 
+(* The recorder rides the trace, as in [ba_run --resource-json]: the
+   caller opens the setup row, round starts roll the rows, and the
+   caller closes the last one. *)
 let run_sub_hm_with_resource ~resource ~seed =
   let n = 101 in
   let params = Params.make ~lambda:20 ~max_epochs:5 () in
   let proto = Sub_hm.protocol ~params ~world:`Hybrid in
   let buf = Buffer.create 4096 in
+  let jsonl = Trace.jsonl_tracer (Baobs.Jsonl.to_buffer buf) in
+  let tracer e =
+    Option.iter (fun r -> Trace.resource_tracer r e) resource;
+    jsonl e
+  in
+  Option.iter (Baobs.Resource.open_round ~round:(-1)) resource;
   let result =
-    Engine.run
-      ~tracer:(Trace.jsonl_tracer (Baobs.Jsonl.to_buffer buf))
-      ?resource proto
+    Engine.run ~tracer proto
       ~adversary:(Baattacks.Eraser.make ())
       ~n ~budget:30
       ~inputs:(Scenario.unanimous_inputs ~n true)
       ~max_rounds:32 ~seed
   in
+  Option.iter Baobs.Resource.close resource;
   (result, Buffer.contents buf)
 
 let test_resource_recorder_rows () =
-  Baobs.Resource.enable ();
   let r = Baobs.Resource.create () in
   let result, _ = run_sub_hm_with_resource ~resource:(Some r) ~seed:7L in
-  Baobs.Resource.disable ();
   let rows = Baobs.Resource.rows r in
   (* One setup row (round -1) plus one row per executed round. *)
   Alcotest.(check int) "row count" (result.Engine.rounds_used + 1)
@@ -833,33 +794,20 @@ let test_resource_recorder_rows () =
         s.Bastats.Summary.count
   | None -> Alcotest.fail "expected an allocation summary"
 
-let test_resource_disabled_records_nothing () =
-  Baobs.Resource.disable ();
-  let r = Baobs.Resource.create () in
-  let _ = run_sub_hm_with_resource ~resource:(Some r) ~seed:7L in
-  Alcotest.(check int) "no rows while disabled" 0
-    (List.length (Baobs.Resource.rows r));
-  Alcotest.(check bool) "no summary" true
-    (Baobs.Resource.allocation_summary r = None)
-
 let test_resource_trace_byte_identical () =
   (* The determinism contract: recording reads GC counters only, so the
-     same seeded run emits byte-for-byte the same trace with the
-     recorder on, off, or absent. *)
+     same seeded run emits byte-for-byte the same trace with or
+     without a recorder riding the tracer. *)
   let _, plain = run_sub_hm_with_resource ~resource:None ~seed:11L in
-  Baobs.Resource.enable ();
   let r = Baobs.Resource.create () in
   let _, recorded = run_sub_hm_with_resource ~resource:(Some r) ~seed:11L in
-  Baobs.Resource.disable ();
   Alcotest.(check bool) "recorder saw the run" true
     (Baobs.Resource.rows r <> []);
   Alcotest.(check string) "traces byte-identical" plain recorded
 
 let test_resource_json_roundtrip () =
-  Baobs.Resource.enable ();
   let r = Baobs.Resource.create () in
   let _ = run_sub_hm_with_resource ~resource:(Some r) ~seed:3L in
-  Baobs.Resource.disable ();
   let json =
     Baobs.Resource.to_json ~meta:[ ("protocol", Baobs.Json.String "sub-hm") ] r
   in
@@ -1273,6 +1221,32 @@ let test_causal_legacy_fixture_replay () =
   Alcotest.(check bool) "legacy targeted sends flagged approximate" true
     (Baobs_report.Causal.approx_messages b > 0)
 
+(* A trace cut off mid-line (a crashed or interrupted writer) must be
+   reported with the line it broke on, by both JSONL readers. *)
+let test_truncated_trace_names_line () =
+  let lines =
+    String.split_on_char '\n' (read_file "fixtures/legacy_e1_trace.jsonl")
+  in
+  let keep = 11 in
+  let last = List.nth lines (keep - 1) in
+  let truncated =
+    String.concat "\n" (List.filteri (fun i _ -> i < keep - 1) lines)
+    ^ "\n"
+    ^ String.sub last 0 (String.length last / 2)
+  in
+  let prefix = Printf.sprintf "line %d: " keep in
+  List.iter
+    (fun (reader, parse) ->
+      match parse truncated with
+      | () -> Alcotest.fail (reader ^ ": truncated trace parsed")
+      | exception Baobs.Json.Parse_error e ->
+          Alcotest.(check string)
+            (reader ^ ": error names the line")
+            prefix
+            (String.sub e 0 (min (String.length e) (String.length prefix))))
+    [ ("report", fun t -> ignore (Baobs_report.Report.of_jsonl_string t));
+      ("causal", fun t -> ignore (Baobs_report.Causal.of_jsonl_string t)) ]
+
 let test_causal_off_byte_identity () =
   (* Re-run the committed fixture's exact configuration on today's
      engine with causal recording off: the JSONL must match the
@@ -1398,7 +1372,6 @@ let () =
           Alcotest.test_case "rates" `Quick test_rates_json_roundtrip ] );
       ( "ring",
         [ Alcotest.test_case "drops oldest" `Quick test_ring_drops_oldest;
-          Alcotest.test_case "trace ring" `Quick test_trace_ring;
           Alcotest.test_case "exact capacity boundary" `Quick
             test_ring_exact_capacity;
           Alcotest.test_case "empty and invalid" `Quick
@@ -1436,8 +1409,6 @@ let () =
         [ Alcotest.test_case "delta nonnegative" `Quick
             test_resource_delta_nonnegative;
           Alcotest.test_case "recorder rows" `Quick test_resource_recorder_rows;
-          Alcotest.test_case "disabled records nothing" `Quick
-            test_resource_disabled_records_nothing;
           Alcotest.test_case "trace byte-identical" `Quick
             test_resource_trace_byte_identical;
           Alcotest.test_case "json roundtrip" `Quick
@@ -1453,8 +1424,7 @@ let () =
             test_series_matches_metrics_e2;
           Alcotest.test_case "json + csv export" `Quick test_series_json_and_csv ] );
       ( "jsonl",
-        [ Alcotest.test_case "valid lines" `Quick test_jsonl_sink_valid_lines;
-          Alcotest.test_case "filters" `Quick test_jsonl_filters ] );
+        [ Alcotest.test_case "valid lines" `Quick test_jsonl_sink_valid_lines ] );
       ( "collector",
         [ Alcotest.test_case "memoization" `Quick test_collector_memoized_events ] );
       ( "causal",
@@ -1470,6 +1440,8 @@ let () =
              test_causal_e8_takeover_all_decisions_tainted
         :: Alcotest.test_case "legacy fixture replay" `Quick
              test_causal_legacy_fixture_replay
+        :: Alcotest.test_case "truncated trace names the line" `Quick
+             test_truncated_trace_names_line
         :: Alcotest.test_case "recording off is byte-identical" `Quick
              test_causal_off_byte_identity
         :: Alcotest.test_case "ba_run --causal-json end to end" `Quick

@@ -341,8 +341,8 @@ let test_trace_injection_events () =
 
 let test_metrics_pp_and_rounds () =
   let m = Metrics.create ~n:4 in
-  Metrics.record_honest_multicast m ~bits:10;
-  Metrics.record_honest_unicast m ~recipients:2 ~bits:5;
+  Metrics.record_honest_multicast m ~round:0 ~node:1 ~bits:10;
+  Metrics.record_honest_unicast m ~round:3 ~node:2 ~recipients:2 ~bits:5;
   Metrics.note_round m 3;
   Alcotest.(check int) "rounds = max+1" 4 (Metrics.rounds m);
   Alcotest.(check int) "classical msgs: 1·4 + 2" 6 (Metrics.classical_messages m);

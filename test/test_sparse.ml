@@ -4,8 +4,9 @@
 
    1. The dense engine steps exactly the nodes a naive reference says it
       must — {un-corrupted, un-halted} at the start of the round —
-      observed through [?step_audit] and checked against the trace's own
-      corruption/halt record, across randomized adversary schedules.
+      observed by wrapping the default hook [Engine.sparse_of_step] and
+      checked against the trace's own corruption/halt record, across
+      randomized adversary schedules.
 
    2. The Sub_hm crowd hook is execution-equivalent to the dense step:
       same trace, same metrics, same series, same outputs, for every
@@ -20,7 +21,34 @@ open Bacore
 
 let params = Params.make ~lambda:20 ~max_epochs:12 ()
 
-(* --- 1. dense step_audit = {un-corrupted, un-halted} ------------------- *)
+(* Per-node work, observed from outside the engine: a wrapped hook
+   records the nodes it [rv_emit]s for, and the trace's [Halted] events
+   add the nodes a round halted. [audits] maps each round to the
+   ascending union. *)
+let audited hook audits : _ Engine.sparse_step =
+ fun env ~states rv ->
+  let emitted = ref [] in
+  hook env ~states
+    { rv with
+      Engine.rv_emit =
+        (fun i sends ->
+          emitted := i :: !emitted;
+          rv.Engine.rv_emit i sends) };
+  Hashtbl.replace audits rv.Engine.rv_round !emitted
+
+let audit_of audits events =
+  List.iter
+    (function
+      | Trace.Halted { round; node; _ } ->
+          let prev = Option.value (Hashtbl.find_opt audits round) ~default:[] in
+          Hashtbl.replace audits round (node :: prev)
+      | _ -> ())
+    events;
+  fun r ->
+    List.sort_uniq Int.compare
+      (Option.value (Hashtbl.find_opt audits r) ~default:[])
+
+(* --- 1. dense step audit = {un-corrupted, un-halted} ------------------- *)
 
 (* Random oblivious schedules for sub-third: setup corruptions plus
    mid-round corrupt/inject/remove actions. Legality is irrelevant —
@@ -78,7 +106,7 @@ let qcheck_dense_audit_matches_reference =
       let result =
         Engine.run
           ~tracer:(Trace.observe collector)
-          ~step_audit:(fun ~round stepped -> Hashtbl.replace audits round stepped)
+          ~sparse:(audited (Engine.sparse_of_step proto) audits)
           proto ~adversary ~n ~budget
           ~inputs:(Scenario.split_inputs ~n)
           ~max_rounds ~seed:77L
@@ -102,14 +130,13 @@ let qcheck_dense_audit_matches_reference =
                | Some h -> h >= r)
           (List.init n Fun.id)
       in
+      let rounds_audited = Hashtbl.length audits in
+      let audit = audit_of audits (Trace.events collector) in
       let ok = ref true in
       for r = 0 to result.Engine.rounds_used - 1 do
-        let audited =
-          match Hashtbl.find_opt audits r with Some l -> l | None -> []
-        in
-        if audited <> expected r then ok := false
+        if audit r <> expected r then ok := false
       done;
-      !ok && Hashtbl.length audits = result.Engine.rounds_used)
+      !ok && rounds_audited = result.Engine.rounds_used)
 
 (* --- 2. crowd hook ≡ dense step ---------------------------------------- *)
 
@@ -125,18 +152,19 @@ type observation = {
 let observe_run ~world ~sparse ~adversary ~n ~budget ~seed =
   let proto = Sub_hm.protocol ~params ~world in
   let collector = Trace.collector () in
-  let series = Baobs.Series.create ~n in
   let sparse = if sparse then Some (Sub_hm.sparse_step ()) else None in
   let result =
     Engine.run
       ~tracer:(Trace.observe collector)
-      ~series ?sparse proto ~adversary ~n ~budget
+      ?sparse proto ~adversary ~n ~budget
       ~inputs:(Scenario.split_inputs ~n)
       ~max_rounds:60 ~seed
   in
   { o_trace = Trace.render collector;
     o_metrics = Baobs.Json.to_string (Metrics.to_json result.Engine.metrics);
-    o_series = Baobs.Json.to_string (Baobs.Series.to_json series);
+    o_series =
+      Baobs.Json.to_string
+        (Baobs.Series.to_json (Metrics.series result.Engine.metrics));
     o_outputs = result.Engine.outputs;
     o_halts = result.Engine.halt_rounds;
     o_corruptions = result.Engine.corruptions }
@@ -210,12 +238,12 @@ let test_passive_sparse_audit_is_winners_and_halters () =
   let result =
     Engine.run
       ~tracer:(Trace.observe collector)
-      ~sparse:(Sub_hm.sparse_step ())
-      ~step_audit:(fun ~round stepped -> Hashtbl.replace audits round stepped)
+      ~sparse:(audited (Sub_hm.sparse_step ()) audits)
       proto ~adversary:(passive ()) ~n ~budget:0
       ~inputs:(Scenario.split_inputs ~n)
       ~max_rounds:60 ~seed:13L
   in
+  let audit = audit_of audits (Trace.events collector) in
   let module Iset = Set.Make (Int) in
   let senders = Hashtbl.create 16 and halters = Hashtbl.create 16 in
   let add tbl r i =
@@ -231,9 +259,7 @@ let test_passive_sparse_audit_is_winners_and_halters () =
   Alcotest.(check bool) "run decided" true result.Engine.all_honest_decided;
   let some_round_was_sparse = ref false in
   for r = 0 to result.Engine.rounds_used - 1 do
-    let audited =
-      match Hashtbl.find_opt audits r with Some l -> l | None -> []
-    in
+    let audited = audit r in
     let expected =
       Iset.union
         (Option.value (Hashtbl.find_opt senders r) ~default:Iset.empty)
