@@ -2,9 +2,8 @@
 
      ba_obs report trace.jsonl              per-round/per-node analytics
      ba_obs causal trace.jsonl              happens-before DAG, cones, taint
-     ba_obs profile profile.json            probe snapshot -> Chrome trace
      ba_obs compare BENCH_A.json BENCH_B.json   bench-regression gate
-     ba_obs mem resource.json               per-round memory-flatness report
+     ba_obs mem resource.json               per-round time, GC, memory flatness
 
    Exit codes: 0 clean; 1 usage, I/O, parse errors, or (compare) a
    regression past the threshold; 2 a failed [report --check],
@@ -231,28 +230,6 @@ let causal_cmd =
     Term.(const run_causal $ file_arg $ causal_format_arg $ causal_top_arg
           $ causal_n_arg $ causal_check_arg $ chrome_arg $ output_arg)
 
-(* ---------- profile ----------------------------------------------------- *)
-
-let run_profile file output =
-  guarded (fun () ->
-      let chrome = Baobs.Chrome_trace.of_profile (read_json file) in
-      write_out output (Baobs.Json.to_string chrome ^ "\n");
-      0)
-
-let profile_arg =
-  Arg.(
-    required
-    & pos 0 (some file) None
-    & info [] ~docv:"PROFILE"
-        ~doc:"Probe profile (from ba_run --profile-json).")
-
-let profile_cmd =
-  let doc =
-    "Convert a probe snapshot into Chrome trace_event JSON loadable in \
-     Perfetto (ui.perfetto.dev) or chrome://tracing"
-  in
-  Cmd.v (Cmd.info "profile" ~doc) Term.(const run_profile $ profile_arg $ output_arg)
-
 (* ---------- mem --------------------------------------------------------- *)
 
 let run_mem file format warmup cooldown tolerance chk output =
@@ -288,7 +265,7 @@ let mem_file_arg =
     required
     & pos 0 (some file) None
     & info [] ~docv:"RESOURCE"
-        ~doc:"ba-resource/v1 report (from ba_run --resource-json).")
+        ~doc:"ba-resource/v2 report (from ba_run --resource-json).")
 
 let warmup_arg =
   Arg.(
@@ -327,7 +304,7 @@ let mem_check_arg =
 
 let mem_cmd =
   let doc =
-    "Render a per-round memory/GC flatness report from a ba_run \
+    "Render a per-round wall-time, GC and memory report from a ba_run \
      --resource-json document, optionally gating on allocated-words-per-round \
      flatness"
   in
@@ -408,8 +385,10 @@ let compare_cmd =
 (* ---------- group ------------------------------------------------------- *)
 
 let cmd =
-  let doc = "Analyze traces, profiles, and bench reports from the BA harness" in
+  let doc =
+    "Analyze traces, resource rows, and bench reports from the BA harness"
+  in
   Cmd.group (Cmd.info "ba_obs" ~doc)
-    [ report_cmd; causal_cmd; profile_cmd; compare_cmd; mem_cmd ]
+    [ report_cmd; causal_cmd; compare_cmd; mem_cmd ]
 
 let () = exit (Cmd.eval' cmd)

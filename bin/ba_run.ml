@@ -132,8 +132,8 @@ let parameter_error proto ~n ~budget ~lambda ~epochs ~reps ~jobs =
 (* Each protocol has its own message type, so the dispatch instantiates
    engine, adversary, and printer together. *)
 let dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
-    ~jobs ~sparse ~trace ~trace_jsonl ~metrics_json ~profile_json
-    ~resource_json ~causal ~causal_json ~timings ~check_trace ~lenient_caps =
+    ~jobs ~sparse ~trace ~trace_jsonl ~metrics_json ~resource_json ~causal
+    ~causal_json ~check_trace ~lenient_caps =
   (* --causal-json implies causal recording (message ids, kind labels,
      explicit recipient lists in the trace). *)
   let causal = causal || causal_json <> None in
@@ -158,23 +158,6 @@ let dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
     (match collector with Some c -> Trace.observe c e | None -> ());
     match jsonl with Some (_, emit) -> emit e | None -> ()
   in
-  if timings then Baobs.Probe.enable ();
-  (match profile_json with
-  | Some _ ->
-      (* Per-span events feed [ba_obs profile]'s Chrome trace; the ring
-         bounds memory on long runs (oldest spans evicted first). *)
-      Baobs.Probe.enable ();
-      Baobs.Probe.record_spans ~capacity:65_536
-  | None -> ());
-  let write_profile () =
-    match profile_json with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (Baobs.Json.to_string (Baobs.Probe.profile_to_json ()));
-        output_char oc '\n';
-        close_out oc
-  in
   let print_trace () =
     match collector with
     | Some c when trace ->
@@ -183,7 +166,7 @@ let dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
     | Some _ | None -> ()
   in
   (* Post-run bookkeeping shared by every protocol branch: close the
-     JSONL sink, export metrics + series, print timings. *)
+     JSONL sink, export resource rows, metrics and series. *)
   let finish ~label (result : Engine.result) =
     (match jsonl with Some (oc, _) -> close_out oc | None -> ());
     (match (resource_json, resource) with
@@ -217,12 +200,7 @@ let dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
         output_string oc (Baobs.Json.to_string json);
         output_char oc '\n';
         close_out oc
-    | None -> ());
-    if timings then begin
-      print_endline "--- timings ---";
-      print_string (Baobs.Probe.report ())
-    end;
-    write_profile ()
+    | None -> ())
   in
   let params = Params.make ~lambda ~max_epochs:epochs () in
   let seed64 = Int64.of_int seed in
@@ -277,11 +255,6 @@ let dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
             (result, Properties.agreement ~inputs result))
       in
       print_rates ~label rates;
-      if timings then begin
-        print_endline "--- timings ---";
-        print_string (Baobs.Probe.report ())
-      end;
-      write_profile ();
       (match metrics_json with
       | Some path ->
           let json =
@@ -521,25 +494,16 @@ let metrics_json_arg =
           "Write run metrics and the per-round × per-node metric series to \
            $(docv) as JSON.")
 
-let profile_json_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "profile-json" ] ~docv:"FILE"
-        ~doc:
-          "Enable the probe registry with per-span recording and write the \
-           snapshot-plus-spans profile to $(docv) after the run; convert it \
-           with ba_obs profile for Perfetto.")
-
 let resource_json_arg =
   Arg.(
     value
     & opt (some string) None
     & info [ "resource-json" ] ~docv:"FILE"
         ~doc:
-          "Record a per-round GC/memory series (allocated words, promoted \
-           words, collections, heap size) and write the ba-resource/v1 \
-           report to $(docv) after the run; analyze it with ba_obs mem.")
+          "Record a per-round resource series (wall-clock ns, allocated \
+           words, promoted words, collections, heap size) and write the \
+           ba-resource/v2 report to $(docv) after the run; analyze it with \
+           ba_obs mem.")
 
 let causal_arg =
   Arg.(
@@ -561,14 +525,6 @@ let causal_json_arg =
           "Run the causal analysis (happens-before cones, critical paths, \
            flow matrix, taint attribution) after the run and write the \
            ba-causal/v1 document to $(docv). Implies --causal.")
-
-let timings_arg =
-  Arg.(
-    value & flag
-    & info [ "timings" ]
-        ~doc:
-          "Enable phase/crypto timers and print a per-probe summary after the \
-           run.")
 
 let check_trace_arg =
   Arg.(
@@ -600,10 +556,10 @@ let lenient_caps_arg =
            or budget.")
 
 let main proto adv n budget lambda epochs inputs_choice seed reps jobs
-    sparse trace trace_jsonl metrics_json profile_json resource_json
-    causal causal_json timings check_trace lenient_caps =
+    sparse trace trace_jsonl metrics_json resource_json causal causal_json
+    check_trace lenient_caps =
   (* Reject doomed output destinations before the run, not after it:
-     --metrics-json and --profile-json only open their file once the
+     --metrics-json and --resource-json only open their file once the
      (possibly long) execution has completed. *)
   let path_errors =
     List.filter_map
@@ -616,7 +572,6 @@ let main proto adv n budget lambda epochs inputs_choice seed reps jobs
             | Error e -> Some (Printf.sprintf "%s: %s" flag e)))
       [ ("--trace-jsonl", trace_jsonl);
         ("--metrics-json", metrics_json);
-        ("--profile-json", profile_json);
         ("--resource-json", resource_json);
         ("--causal-json", causal_json) ]
   in
@@ -641,8 +596,8 @@ let main proto adv n budget lambda epochs inputs_choice seed reps jobs
   else
     try
       dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
-        ~jobs ~sparse ~trace ~trace_jsonl ~metrics_json ~profile_json
-        ~resource_json ~causal ~causal_json ~timings ~check_trace ~lenient_caps
+        ~jobs ~sparse ~trace ~trace_jsonl ~metrics_json ~resource_json ~causal
+        ~causal_json ~check_trace ~lenient_caps
     with Sys_error e ->
       (* e.g. a destination that became unwritable mid-run *)
       prerr_endline ("ba_run: " ^ e);
@@ -656,8 +611,7 @@ let cmd =
       const main $ proto_arg $ adv_arg $ n_arg $ budget_arg $ lambda_arg
       $ epochs_arg $ inputs_arg $ seed_arg $ reps_arg $ jobs_arg
       $ sparse_arg $ trace_arg $ trace_jsonl_arg
-      $ metrics_json_arg
-      $ profile_json_arg $ resource_json_arg $ causal_arg $ causal_json_arg
-      $ timings_arg $ check_trace_arg $ lenient_caps_arg)
+      $ metrics_json_arg $ resource_json_arg $ causal_arg $ causal_json_arg
+      $ check_trace_arg $ lenient_caps_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -14,44 +14,26 @@ let check_range scheme i =
   if i < 0 || i >= Array.length scheme.keys then
     invalid_arg "Signature: signer out of range"
 
-let p_sign = Baobs.Probe.register "signature.sign"
-
-let p_verify = Baobs.Probe.register "signature.verify"
-
 let mac scheme ~signer msg =
   Hmac.mac_concat_with scheme.kctxs.(signer) [ "sig"; msg ]
 
 let sign scheme ~signer msg =
   check_range scheme signer;
-  let t0 = Baobs.Probe.start () in
-  let tag = mac scheme ~signer msg in
-  Baobs.Probe.stop p_sign t0;
-  tag
+  mac scheme ~signer msg
 
 let verify scheme ~signer msg tag =
   check_range scheme signer;
-  let t0 = Baobs.Probe.start () in
-  let ok = Hmac.equal tag (mac scheme ~signer msg) in
-  Baobs.Probe.stop p_verify t0;
-  ok
+  Hmac.equal tag (mac scheme ~signer msg)
 
 let verify_batch scheme entries =
-  match entries with
-  | [] -> []
-  | entries ->
-      List.iter (fun (signer, _, _) -> check_range scheme signer) entries;
-      let t0 = Baobs.Probe.start () in
-      let macs =
-        Hmac.mac_concat_batch
-          (List.map
-             (fun (signer, msg, _) -> (scheme.kctxs.(signer), [ "sig"; msg ]))
-             entries)
-      in
-      let oks =
-        List.map2 (fun (_, _, tag) mac -> Hmac.equal tag mac) entries macs
-      in
-      Baobs.Probe.stop p_verify t0;
-      oks
+  List.iter (fun (signer, _, _) -> check_range scheme signer) entries;
+  let macs =
+    Hmac.mac_concat_batch
+      (List.map
+         (fun (signer, msg, _) -> (scheme.kctxs.(signer), [ "sig"; msg ]))
+         entries)
+  in
+  List.map2 (fun (_, _, tag) mac -> Hmac.equal tag mac) entries macs
 
 let corrupt_key scheme i =
   check_range scheme i;

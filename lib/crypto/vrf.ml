@@ -24,41 +24,23 @@ let statement params ~com ~rho ~msg =
     crs_comm = Commitment.crs_to_string params.crs_comm;
     msg }
 
-let p_eval = Baobs.Probe.register "vrf.eval"
-
-let p_verify = Baobs.Probe.register "vrf.verify"
-
 let eval params sk msg =
-  let t0 = Baobs.Probe.start () in
   let rho = Prf.eval_cached sk.prf_cached msg in
   let com = Commitment.commit params.crs_comm ~value:sk.prf_key ~salt:sk.salt in
   let stmt = statement params ~com ~rho ~msg in
   let witness = { Nizk.sk = sk.prf_key; salt = sk.salt } in
-  let ev = { rho; proof = Nizk.prove params.crs_nizk params.crs_comm stmt witness } in
-  Baobs.Probe.stop p_eval t0;
-  ev
+  { rho; proof = Nizk.prove params.crs_nizk params.crs_comm stmt witness }
 
 let verify params pk msg ev =
-  let t0 = Baobs.Probe.start () in
-  let stmt = statement params ~com:pk.com ~rho:ev.rho ~msg in
-  let ok = Nizk.verify params.crs_nizk stmt ev.proof in
-  Baobs.Probe.stop p_verify t0;
-  ok
+  Nizk.verify params.crs_nizk (statement params ~com:pk.com ~rho:ev.rho ~msg)
+    ev.proof
 
 let verify_batch params entries =
-  match entries with
-  | [] -> []
-  | entries ->
-      let t0 = Baobs.Probe.start () in
-      let oks =
-        Nizk.verify_batch params.crs_nizk
-          (List.map
-             (fun (pk, msg, ev) ->
-               (statement params ~com:pk.com ~rho:ev.rho ~msg, ev.proof))
-             entries)
-      in
-      Baobs.Probe.stop p_verify t0;
-      oks
+  Nizk.verify_batch params.crs_nizk
+    (List.map
+       (fun (pk, msg, ev) ->
+         (statement params ~com:pk.com ~rho:ev.rho ~msg, ev.proof))
+       entries)
 
 let output_fraction ev = Prf.output_fraction ev.rho
 

@@ -46,7 +46,7 @@ val verify : params -> pk -> string -> evaluation -> bool
 val verify_batch : params -> (pk * string * evaluation) list -> bool list
 (** [verify_batch params [(pk, m, ev); ...] = List.map (fun (pk, m, ev)
     -> verify params pk m ev) ...]: one amortized NIZK sweep (all proofs
-    under a CRS share the trapdoor key), one probe span for the batch. *)
+    under a CRS share the trapdoor key). *)
 
 val output_fraction : evaluation -> float
 (** The output mapped to a uniform fraction in [\[0,1)]; compare against a

@@ -17,36 +17,29 @@ let create rng =
     successes = 0;
     sampled_losses = 0 }
 
-let p_mine = Baobs.Probe.register "fmine.mine"
-
 (* The one coin-and-lookup path behind [mine] and [sample]: a recorded
    attempt answers from the table; a fresh one flips the PRF coin, and
    only a winner — or, with [~memo_losses], any outcome — is recorded.
    Losers left out of the table are tallied in [sampled_losses], so
    [attempts] still counts every coin flipped. *)
 let attempt t ~caller ~memo_losses ~node ~msg ~p =
-  let t0 = Baobs.Probe.start () in
-  let outcome =
-    match Hashtbl.find_opt t.table (node, msg) with
-    | Some r ->
-        if r.prob <> p then
-          invalid_arg (caller ^ ": same (node, msg) mined with a different p");
-        r.outcome
-    | None ->
-        (* Same bytes as [Printf.sprintf "%d|%s" node msg], minus the
-           format-string interpreter on the hot mining path. *)
-        let rho =
-          Bacrypto.Prf.eval_cached t.coin_key (string_of_int node ^ "|" ^ msg)
-        in
-        let outcome = Bacrypto.Prf.below_difficulty rho ~p in
-        if outcome || memo_losses then
-          Hashtbl.replace t.table (node, msg) { outcome; prob = p };
-        if outcome then t.successes <- t.successes + 1
-        else if not memo_losses then t.sampled_losses <- t.sampled_losses + 1;
-        outcome
-  in
-  Baobs.Probe.stop p_mine t0;
-  outcome
+  match Hashtbl.find_opt t.table (node, msg) with
+  | Some r ->
+      if r.prob <> p then
+        invalid_arg (caller ^ ": same (node, msg) mined with a different p");
+      r.outcome
+  | None ->
+      (* Same bytes as [Printf.sprintf "%d|%s" node msg], minus the
+         format-string interpreter on the hot mining path. *)
+      let rho =
+        Bacrypto.Prf.eval_cached t.coin_key (string_of_int node ^ "|" ^ msg)
+      in
+      let outcome = Bacrypto.Prf.below_difficulty rho ~p in
+      if outcome || memo_losses then
+        Hashtbl.replace t.table (node, msg) { outcome; prob = p };
+      if outcome then t.successes <- t.successes + 1
+      else if not memo_losses then t.sampled_losses <- t.sampled_losses + 1;
+      outcome
 
 let mine t ~node ~msg ~p =
   attempt t ~caller:"Fmine.mine" ~memo_losses:true ~node ~msg ~p

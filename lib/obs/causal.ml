@@ -124,8 +124,57 @@ let iter_targets ~n m f =
       done
   | D_targets ts -> List.iter f ts
 
+(* A malformed trace must fail with a message, not index the state grid
+   out of range, size it from a forged round, or count a node the run
+   did not have: round starts count up from 0, every other event's
+   round lies in [-1, latest round start], and every node it names in
+   [0, n). Events are numbered from 1, which is the JSONL line number
+   when the file has no blank lines. *)
+let validate ~n events =
+  let last = ref (-1) in
+  List.iteri
+    (fun k e ->
+      let bad fmt =
+        Format.kasprintf
+          (fun s ->
+            raise
+              (Baobs.Json.Parse_error
+                 (Printf.sprintf "event %d (%s): %s" (k + 1)
+                    (Trace.kind_of e) s)))
+          fmt
+      in
+      let node what i =
+        if i < 0 || i >= n then bad "%s %d outside [0, %d)" what i n
+      in
+      let round r =
+        if r < -1 || r > !last then bad "round %d outside [-1, %d]" r !last
+      in
+      match e with
+      | Trace.Round_started { round } ->
+          if round <> !last + 1 then
+            bad "round %d does not follow round %d" round !last;
+          last := round
+      | Trace.Sent { round = r; node = i; targets; _ } ->
+          round r;
+          node "node" i;
+          List.iter (node "target") targets
+      | Trace.Removed { round = r; victim; targets; _ } ->
+          round r;
+          node "victim" victim;
+          List.iter (node "target") targets
+      | Trace.Injected { round = r; src; targets; _ } ->
+          round r;
+          node "src" src;
+          List.iter (node "target") targets
+      | Trace.Corrupted { round = r; node = i }
+      | Trace.Halted { round = r; node = i; _ } ->
+          round r;
+          node "node" i)
+    events
+
 let of_events ?n events =
   let n = match n with Some n -> max 1 n | None -> infer_n events in
+  validate ~n events;
   let max_round =
     List.fold_left (fun acc e -> max acc (Trace.round_of e)) (-1) events
   in

@@ -82,7 +82,11 @@ type summary = {
 val of_events : ?n:int -> Basim.Trace.event list -> t
 (** Build the DAG and run every analysis. [n] defaults to the smallest
     node count consistent with the trace (max node index + 1, and any
-    multicast's recipient count). *)
+    multicast's recipient count).
+    @raise Baobs.Json.Parse_error naming the (1-based) event index when
+    round starts do not count up from 0, an event's round lies outside
+    [\[-1, latest round start\]], or a node, victim, src or target lies
+    outside [\[0, n)]. *)
 
 val of_jsonl_string : ?n:int -> string -> t
 (** Parse a JSONL trace ({!Basim.Trace.events_of_jsonl}) and analyze

@@ -1,15 +1,8 @@
 (* Chrome trace_event ("Trace Event Format") emission. Only the subset
    Perfetto / chrome://tracing actually require is produced: complete
-   events (ph "X") with name/ts/dur/pid/tid, plus process/thread name
-   metadata (ph "M"). Timestamps are microseconds; span inputs are
-   nanoseconds, normalized so the earliest span starts at ts 0 (raw
-   wall-clock epochs overflow the viewer's usable range). *)
-
-let default_pid = 1
-
-let default_tid = 1
-
-let us_of_ns ns = ns /. 1e3
+   (ph "X"), flow (ph "s"/"t"/"f") and instant (ph "i") events with
+   name/ts/pid/tid, plus process/thread name metadata (ph "M").
+   Timestamps are microseconds. *)
 
 let metadata ~pid ~tid ~name ~value =
   Json.Obj
@@ -67,75 +60,3 @@ let document events =
   Json.Obj
     [ ("traceEvents", Json.List events);
       ("displayTimeUnit", Json.String "ms") ]
-
-let of_spans ?(pid = default_pid) ?(tid = default_tid) spans =
-  let base =
-    List.fold_left
-      (fun acc (s : Probe.span) -> Float.min acc s.Probe.start_ns)
-      infinity spans
-  in
-  let events =
-    List.map
-      (fun (s : Probe.span) ->
-        complete_event ~pid ~tid ~name:s.Probe.probe
-          ~ts_us:(us_of_ns (s.Probe.start_ns -. base))
-          ~dur_us:(us_of_ns s.Probe.dur_ns)
-          ~args:[])
-      spans
-  in
-  document
-    (metadata ~pid ~tid ~name:"process_name" ~value:"ba_run"
-    :: metadata ~pid ~tid ~name:"thread_name" ~value:"probes"
-    :: events)
-
-(* Aggregate fallback: when a profile carries probe totals but no
-   individual spans (the span ring was never installed), render each
-   probe as one bar whose width is its cumulative time, laid end to
-   end — a poor man's flamegraph that still shows where time went. *)
-let of_totals ?(pid = default_pid) ?(tid = default_tid) totals =
-  let _, events =
-    List.fold_left
-      (fun (cursor, acc) (name, count, total_ns) ->
-        let dur_us = us_of_ns total_ns in
-        let ev =
-          complete_event ~pid ~tid ~name ~ts_us:cursor ~dur_us
-            ~args:[ ("count", Json.Int count) ]
-        in
-        (cursor +. dur_us, ev :: acc))
-      (0.0, []) totals
-  in
-  document
-    (metadata ~pid ~tid ~name:"process_name" ~value:"ba_run"
-    :: metadata ~pid ~tid ~name:"thread_name" ~value:"probe totals"
-    :: List.rev events)
-
-(* ---------- profile-document conversion --------------------------------- *)
-
-let spans_of_profile json =
-  let open Json in
-  match member "spans" json with
-  | None -> []
-  | Some spans ->
-      List.map
-        (fun s ->
-          { Probe.probe = as_string (member_exn "name" s);
-            start_ns = as_float (member_exn "start_ns" s);
-            dur_ns = as_float (member_exn "dur_ns" s) })
-        (as_list spans)
-
-let totals_of_profile json =
-  let open Json in
-  match member "probes" json with
-  | None -> []
-  | Some probes ->
-      List.map
-        (fun p ->
-          ( as_string (member_exn "name" p),
-            as_int (member_exn "count" p),
-            as_float (member_exn "total_ns" p) ))
-        (as_list probes)
-
-let of_profile ?pid ?tid json =
-  match spans_of_profile json with
-  | [] -> of_totals ?pid ?tid (totals_of_profile json)
-  | spans -> of_spans ?pid ?tid spans

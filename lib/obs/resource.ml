@@ -1,10 +1,11 @@
-(* GC/memory telemetry. Sampling is counter reads over [Gc.counters]
-   and [Gc.quick_stat] — it never triggers a collection and never touches protocol-visible
-   state, which is why a run recorded through [Trace.resource_tracer]
-   emits a byte-identical trace to an unrecorded one (asserted in
-   test/test_obs.ml). The recorder keeps one row per round plus a
-   Bastats.Sketch of allocated-words-per-round, so the summary stays
-   O(1) memory on arbitrarily long runs. *)
+(* Per-round wall time and GC/memory telemetry. Sampling is a
+   monotonic-clock read plus counter reads over [Gc.counters] and
+   [Gc.quick_stat] — it never triggers a collection and never touches
+   protocol-visible state, which is why a run recorded through
+   [Trace.resource_tracer] emits a byte-identical trace to an
+   unrecorded one (asserted in test/test_obs.ml). The recorder keeps
+   one row per round plus a Bastats.Sketch of allocated-words-per-round,
+   so the summary stays O(1) memory on arbitrarily long runs. *)
 
 type sample = {
   minor_words : float;
@@ -58,6 +59,7 @@ let delta ~before ~after =
 
 type row = {
   round : int;
+  ns : int;
   row_allocated_words : float;
   row_promoted_words : float;
   minor_gcs : int;
@@ -66,8 +68,13 @@ type row = {
   row_top_heap_words : int;
 }
 
+(* CLOCK_MONOTONIC in nanoseconds: it never steps backwards, so a
+   row's [ns] needs no clamp. *)
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
+
 type t = {
-  mutable pending : (int * sample) option;  (* open window: round, start *)
+  mutable pending : (int * int * sample) option;
+      (* open window: round, start ns, start sample *)
   mutable rows_rev : row list;
   sketch : Bastats.Sketch.t;  (* allocated words per round, rounds >= 0 *)
 }
@@ -78,12 +85,14 @@ let create () =
 let close t =
   match t.pending with
   | None -> ()
-  | Some (round, before) ->
+  | Some (round, start_ns, before) ->
       t.pending <- None;
+      let ns = now_ns () - start_ns in
       let after = sample () in
       let d = delta ~before ~after in
       t.rows_rev <-
         { round;
+          ns;
           row_allocated_words = d.allocated_words;
           row_promoted_words = d.promoted_words;
           minor_gcs = d.minor_collections;
@@ -95,7 +104,8 @@ let close t =
 
 let open_round t ~round =
   close t;
-  t.pending <- Some (round, sample ())
+  let before = sample () in
+  t.pending <- Some (round, now_ns (), before)
 
 let rows t = List.rev t.rows_rev
 
@@ -104,6 +114,8 @@ let allocation_summary t =
   else Some (Bastats.Sketch.to_summary t.sketch)
 
 (* ---------- encoders ---------------------------------------------------- *)
+
+let schema = "ba-resource/v2"
 
 let summary_json = function
   | None -> Json.Null
@@ -121,6 +133,7 @@ let summary_json = function
 let row_json r =
   Json.Obj
     [ ("round", Json.Int r.round);
+      ("ns", Json.Int r.ns);
       ("allocated_words", Json.Float r.row_allocated_words);
       ("promoted_words", Json.Float r.row_promoted_words);
       ("minor_gcs", Json.Int r.minor_gcs);
@@ -129,7 +142,8 @@ let row_json r =
       ("top_heap_words", Json.Int r.row_top_heap_words) ]
 
 let totals_of_rows rows =
-  let allocated = ref 0.0
+  let ns = ref 0
+  and allocated = ref 0.0
   and promoted = ref 0.0
   and minor = ref 0
   and major = ref 0
@@ -138,6 +152,7 @@ let totals_of_rows rows =
   and measured = ref 0 in
   List.iter
     (fun r ->
+      ns := !ns + r.ns;
       allocated := !allocated +. r.row_allocated_words;
       promoted := !promoted +. r.row_promoted_words;
       minor := !minor + r.minor_gcs;
@@ -146,14 +161,15 @@ let totals_of_rows rows =
       if r.row_top_heap_words > !top_heap then top_heap := r.row_top_heap_words;
       if r.round >= 0 then incr measured)
     rows;
-  (!allocated, !promoted, !minor, !major, !peak_heap, !top_heap, !measured)
+  (!ns, !allocated, !promoted, !minor, !major, !peak_heap, !top_heap, !measured)
 
 let totals_json rows =
-  let allocated, promoted, minor, major, peak_heap, top_heap, measured =
+  let ns, allocated, promoted, minor, major, peak_heap, top_heap, measured =
     totals_of_rows rows
   in
   Json.Obj
-    [ ("allocated_words", Json.Float allocated);
+    [ ("ns", Json.Int ns);
+      ("allocated_words", Json.Float allocated);
       ("promoted_words", Json.Float promoted);
       ("minor_gcs", Json.Int minor);
       ("major_gcs", Json.Int major);
@@ -164,21 +180,22 @@ let totals_json rows =
 let to_json ?(meta = []) t =
   let rows = rows t in
   Json.Obj
-    (("schema", Json.String "ba-resource/v1")
+    (("schema", Json.String schema)
     :: meta
     @ [ ("totals", totals_json rows);
         ("per_round", summary_json (allocation_summary t));
         ("rounds", Json.List (List.map row_json rows)) ])
 
 let csv_header =
-  [ "round"; "allocated_words"; "promoted_words"; "minor_gcs"; "major_gcs";
-    "heap_words"; "top_heap_words" ]
+  [ "round"; "ns"; "allocated_words"; "promoted_words"; "minor_gcs";
+    "major_gcs"; "heap_words"; "top_heap_words" ]
 
 let rows_to_csv rows =
   Csv.to_string ~header:csv_header
     (List.map
        (fun r ->
          [ string_of_int r.round;
+           string_of_int r.ns;
            Printf.sprintf "%.0f" r.row_allocated_words;
            Printf.sprintf "%.0f" r.row_promoted_words;
            string_of_int r.minor_gcs;
@@ -198,15 +215,16 @@ let parse_error fmt =
 
 let report_of_json json =
   (match Json.member "schema" json with
-  | Some (Json.String "ba-resource/v1") -> ()
+  | Some (Json.String s) when s = schema -> ()
   | Some (Json.String other) ->
-      parse_error "expected schema ba-resource/v1, got %s" other
+      parse_error "expected schema %s, got %s" schema other
   | Some (Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.List _
          | Json.Obj _)
   | None ->
-      parse_error "missing ba-resource/v1 schema tag");
+      parse_error "missing %s schema tag" schema);
   let row_of_json j =
     { round = Json.as_int (Json.member_exn "round" j);
+      ns = Json.as_int (Json.member_exn "ns" j);
       row_allocated_words = Json.as_float (Json.member_exn "allocated_words" j);
       row_promoted_words = Json.as_float (Json.member_exn "promoted_words" j);
       minor_gcs = Json.as_int (Json.member_exn "minor_gcs" j);
@@ -319,6 +337,7 @@ let report_to_text report f =
     (fun r ->
       Bastats.Table.add_row table
         [ string_of_int r.round;
+          Bastats.Table.fmt_int r.ns;
           Bastats.Table.fmt_int (int_of_float r.row_allocated_words);
           Bastats.Table.fmt_int (int_of_float r.row_promoted_words);
           string_of_int r.minor_gcs;
@@ -326,14 +345,15 @@ let report_to_text report f =
           Bastats.Table.fmt_int r.row_heap_words;
           Bastats.Table.fmt_int r.row_top_heap_words ])
     report.rep_rows;
-  let allocated, promoted, minor, major, peak_heap, top_heap, measured =
+  let ns, allocated, promoted, minor, major, peak_heap, top_heap, measured =
     totals_of_rows report.rep_rows
   in
   String.concat "\n"
     [ Bastats.Table.render table;
       Printf.sprintf
-        "totals: %s words allocated (%s promoted) over %d rounds, %d minor / \
-         %d major GCs, peak heap %s words (top %s)"
+        "totals: %s ns, %s words allocated (%s promoted) over %d rounds, %d \
+         minor / %d major GCs, peak heap %s words (top %s)"
+        (Bastats.Table.fmt_int ns)
         (Bastats.Table.fmt_int (int_of_float allocated))
         (Bastats.Table.fmt_int (int_of_float promoted))
         measured minor major

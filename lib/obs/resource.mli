@@ -1,5 +1,6 @@
 (** Runtime-resource telemetry: GC/memory samplers, a per-round
-    recorder, and the memory-flatness analysis behind [ba_obs mem].
+    recorder of wall time and GC counters, and the memory-flatness
+    analysis behind [ba_obs mem].
 
     The paper's sub-HM protocol wins because per-round work is polylog;
     the million-node engine (ROADMAP item 1) is gated on evidence that
@@ -8,8 +9,12 @@
     collection is triggered, no protocol-visible state is touched, so a
     recorded run's trace is byte-identical to an unrecorded one),
     delta snapshots between them, a per-round recorder driven from the
-    trace stream, and JSON ([ba-resource/v1]) / CSV encoders plus the
+    trace stream, and JSON ([ba-resource/v2]) / CSV encoders plus the
     flatness check CI gates on.
+
+    Each row also carries the round's wall time, read from the
+    monotonic clock when the row opens and closes, so "how long did
+    round r take" shares the round key of the GC counters.
 
     The engine knows nothing of the recorder. A caller that wants rows
     creates one, opens the setup window ([open_round ~round:(-1)])
@@ -62,6 +67,9 @@ val delta : before:sample -> after:sample -> delta
 type row = {
   round : int;               (** [-1] = setup (env, static corruptions,
                                  init — everything before round 0) *)
+  ns : int;                  (** monotonic wall-clock nanoseconds from
+                                 {!open_round} to the row's close; never
+                                 negative *)
   row_allocated_words : float;
   row_promoted_words : float;
   minor_gcs : int;
@@ -90,7 +98,9 @@ val allocation_summary : t -> Bastats.Summary.t option
     [None] when no such row was recorded. *)
 
 val to_json : ?meta:(string * Json.t) list -> t -> Json.t
-(** [ba-resource/v1]: [{schema; ...meta; totals; per_round; rounds}].
+(** [ba-resource/v2]: [{schema; ...meta; totals; per_round; rounds}].
+    Each entry of [rounds] is one {!row}; [totals.ns] is the sum of the
+    rows' [ns].
     [meta] fields (protocol, n, seed, …) are spliced in after the
     schema tag. *)
 
@@ -99,11 +109,12 @@ val to_csv : t -> string
 (** {2 Analysis ([ba_obs mem])} *)
 
 type report
-(** A parsed [ba-resource/v1] document. *)
+(** A parsed [ba-resource/v2] document. *)
 
 val report_of_json : Json.t -> report
-(** @raise Json.Parse_error on a missing/foreign schema tag or
-    malformed rows. *)
+(** @raise Json.Parse_error on a missing/foreign schema tag (including
+    the earlier [ba-resource/v1], whose rows carry no [ns]) or malformed
+    rows. *)
 
 val report_rows : report -> row list
 

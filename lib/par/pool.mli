@@ -55,24 +55,6 @@ val default_jobs : unit -> int
     This is the default parallelism for every [--jobs] flag in the
     repository, and the env knob CI uses to exercise the parallel path. *)
 
-type worker_stats = {
-  worker : int;          (** executor slot; 0 is the calling domain *)
-  jobs_run : int;
-  busy_ns : float;       (** wall-clock time spent inside job bodies *)
-  queue_wait_ns : float; (** enqueue → dequeue latency, summed over jobs *)
-  minor_words : float;   (** words the slot's jobs allocated in its
-                             domain's minor heap ([Gc.minor_words] is
-                             per-domain in OCaml 5) *)
-}
-
-val stats : t -> worker_stats list
-(** Per-executor counters accumulated since {!create}, in slot order
-    (caller first). Jobs are charged to the slot that executed them, so
-    the [jobs_run] fields sum to the number of jobs submitted — the
-    domain-pool utilization view resource telemetry reports. Counters
-    are updated under the pool lock at job completion; a snapshot taken
-    after {!map}/{!map_reduce} returns sees every job of that batch. *)
-
 val map : pool:t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~pool f xs] applies [f] to every element on the pool and
     returns the results in input order. If any application raised, the

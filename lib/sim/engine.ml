@@ -157,12 +157,6 @@ let sparse_of_step (proto : ('env, 'state, 'msg) protocol) :
 
 let illegal fmt = Format.kasprintf (fun s -> raise (Illegal_action s)) fmt
 
-(* Phase timers: disabled (one ref read per span) unless the caller
-   turns the probe registry on. *)
-let p_step = Baobs.Probe.register "engine.honest_step"
-let p_adversary = Baobs.Probe.register "engine.adversary"
-let p_delivery = Baobs.Probe.register "engine.delivery"
-
 let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?(on_caps_mismatch = `Refuse)
     ?labeler ?sparse proto ~adversary ~n ~budget ~inputs ~max_rounds ~seed =
   if Array.length inputs <> n then
@@ -306,7 +300,6 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?(on_caps_mismatch = `Refuse
     Metrics.note_round metrics r;
     tracer (Trace.Round_started { round = r });
     (* Phase 1: honest nodes compute intents. *)
-    let t_step = Baobs.Probe.start () in
     wires.wb_len <- 0;
     (* Clear only the slots last round's senders dirtied. *)
     for k = 0 to !n_dirty - 1 do
@@ -374,13 +367,11 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?(on_caps_mismatch = `Refuse
                   honest_origin = true })
             sends
     done;
-    Baobs.Probe.stop p_step t_step;
     (* Phase 2: adversary intervention. The view shares the engine's
        arrays instead of deep-copying them every round: adversaries only
        read their view (API discipline, checked by the capability lint),
        and the engine does not touch [view_intents]/[inboxes] again until
        delivery, after [intervene] has returned. *)
-    let t_adv = Baobs.Probe.start () in
     let view =
       { round = r;
         n;
@@ -479,12 +470,10 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?(on_caps_mismatch = `Refuse
             :: !injections
     in
     List.iter apply (adversary.intervene view);
-    Baobs.Probe.stop p_adversary t_adv;
     (* Phase 3: account and deliver. Honest sends are counted per
        Definition 7 even when erased: the node was honest when it sent
        the message, so it counts toward honest communication — erasure
        only affects delivery. *)
-    let t_deliver = Baobs.Probe.start () in
     (* Accounting order is unchanged: the old all-wires list put injections
        (which contribute nothing here) first and honest wires in
        descending order after them, so walking the buffer backwards visits
@@ -578,7 +567,6 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?(on_caps_mismatch = `Refuse
     n_prev_touched := !n_touched;
     n_touched := 0;
     prev_shared := !shared;
-    Baobs.Probe.stop p_delivery t_deliver;
     incr round;
     (* Compact the active prefix if this round dropped anyone (halts in
        phase 1, corruptions in phase 2), preserving ascending order. *)

@@ -212,9 +212,7 @@ val run :
     halt — the run's one observation stream; other observers (the JSONL
     sink, {!Trace.resource_tracer}'s GC rows) ride on it. The result's
     {!Metrics} hold the Definition-7 accounting per round and node
-    ({!Metrics.series}). The engine's three phases are additionally
-    timed under the [engine.*] {!Baobs.Probe}s when the probe registry
-    is enabled.
+    ({!Metrics.series}).
 
     {b Sequential phase 1.} Each round's honest steps run one after
     another in ascending node order, on the calling domain. Protocol

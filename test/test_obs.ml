@@ -1,6 +1,7 @@
 (* Tests for the telemetry layer (Baobs) and its engine integration:
    JSON round-trips, metric series vs. Metrics aggregates, JSONL trace
-   sinks, ring buffers, and probe spans. *)
+   sinks, per-round resource rows, trace reports, causal analysis, and
+   the readers' robustness to truncated or edited files. *)
 
 open Basim
 open Bacore
@@ -66,85 +67,6 @@ let test_rates_json_roundtrip () =
     Baobs.Json.(as_int (member_exn "trials" parsed));
   Alcotest.(check (float 1e-9)) "mean_multicasts" 117.1
     Baobs.Json.(as_float (member_exn "mean_multicasts" parsed))
-
-(* --- Ring ------------------------------------------------------------------ *)
-
-let test_ring_drops_oldest () =
-  let r = Baobs.Ring.create ~capacity:5 in
-  for i = 1 to 8 do
-    Baobs.Ring.add r i
-  done;
-  Alcotest.(check (list int)) "last five, oldest first" [ 4; 5; 6; 7; 8 ]
-    (Baobs.Ring.to_list r);
-  Alcotest.(check int) "length" 5 (Baobs.Ring.length r);
-  Alcotest.(check int) "dropped" 3 (Baobs.Ring.dropped r)
-
-(* --- Probe ----------------------------------------------------------------- *)
-
-let test_probe_spans () =
-  let p = Baobs.Probe.register "test.span" in
-  Baobs.Probe.reset ();
-  (* Disabled: nothing records. *)
-  Baobs.Probe.disable ();
-  Baobs.Probe.time p (fun () -> ignore (Sys.opaque_identity (1 + 1)));
-  Alcotest.(check bool) "disabled records nothing" true
-    (not (List.exists (fun (n, _, _) -> n = "test.span") (Baobs.Probe.snapshot ())));
-  (* Enabled: counts and accumulates. *)
-  Baobs.Probe.enable ();
-  for _ = 1 to 3 do
-    Baobs.Probe.time p (fun () -> ignore (Sys.opaque_identity (String.make 64 'x')))
-  done;
-  Baobs.Probe.disable ();
-  (match List.find_opt (fun (n, _, _) -> n = "test.span") (Baobs.Probe.snapshot ()) with
-  | Some (_, count, total_ns) ->
-      Alcotest.(check int) "three spans" 3 count;
-      Alcotest.(check bool) "nonnegative time" true (total_ns >= 0.0)
-  | None -> Alcotest.fail "probe missing from snapshot");
-  (* Snapshot survives a JSON round-trip. *)
-  let json = Baobs.Probe.to_json () in
-  Alcotest.(check bool) "span json roundtrip" true
-    (Baobs.Json.of_string (Baobs.Json.to_string json) = json);
-  Baobs.Probe.reset ()
-
-(* Two domains hammering the same probe: the registry is mutex-guarded,
-   so no tick and no span may be lost or torn — the totals after the
-   join are exact. This is the data race trial-level parallelism would
-   hit with the old unguarded registry. *)
-let test_probe_two_domain_hammer () =
-  let ticks_per_domain = 50_000 and spans_per_domain = 2_000 in
-  let p = Baobs.Probe.register "test.hammer" in
-  Baobs.Probe.reset ();
-  Baobs.Probe.enable ();
-  let hammer () =
-    for _ = 1 to ticks_per_domain do
-      Baobs.Probe.tick p
-    done;
-    for _ = 1 to spans_per_domain do
-      Baobs.Probe.time p (fun () -> ignore (Sys.opaque_identity (1 + 1)))
-    done
-  in
-  let d1 = Domain.spawn hammer and d2 = Domain.spawn hammer in
-  (* The main domain hammers too, and concurrently registers fresh
-     probes to exercise the registry lock alongside the counter locks. *)
-  for i = 1 to 100 do
-    ignore (Baobs.Probe.register (Printf.sprintf "test.hammer.aux%d" i))
-  done;
-  hammer ();
-  Domain.join d1;
-  Domain.join d2;
-  Baobs.Probe.disable ();
-  (match
-     List.find_opt
-       (fun (n, _, _) -> n = "test.hammer")
-       (Baobs.Probe.snapshot ())
-   with
-  | Some (_, count, total_ns) ->
-      Alcotest.(check int) "exact count, no torn updates"
-        (3 * (ticks_per_domain + spans_per_domain))
-        count;
-      Alcotest.(check bool) "nonnegative time" true (total_ns >= 0.0)
-  | None -> Alcotest.fail "hammered probe missing from snapshot");
-  Baobs.Probe.reset ()
 
 (* --- Series vs Metrics ----------------------------------------------------- *)
 
@@ -331,31 +253,7 @@ let test_jsonl_sink_valid_lines () =
       | _ -> Alcotest.fail "JSONL line is not an object")
     lines
 
-(* --- Ring / Csv edge cases -------------------------------------------------- *)
-
-let test_ring_exact_capacity () =
-  let r = Baobs.Ring.create ~capacity:4 in
-  for i = 1 to 4 do
-    Baobs.Ring.add r i
-  done;
-  Alcotest.(check int) "full, nothing dropped" 0 (Baobs.Ring.dropped r);
-  Alcotest.(check int) "length = capacity" 4 (Baobs.Ring.length r);
-  Alcotest.(check (list int)) "order preserved" [ 1; 2; 3; 4 ]
-    (Baobs.Ring.to_list r);
-  (* One past capacity: exactly the oldest is evicted. *)
-  Baobs.Ring.add r 5;
-  Alcotest.(check int) "first eviction" 1 (Baobs.Ring.dropped r);
-  Alcotest.(check (list int)) "window slides" [ 2; 3; 4; 5 ]
-    (Baobs.Ring.to_list r)
-
-let test_ring_empty_and_invalid () =
-  let r = Baobs.Ring.create ~capacity:3 in
-  Alcotest.(check (list int)) "empty" [] (Baobs.Ring.to_list r);
-  Alcotest.(check int) "empty length" 0 (Baobs.Ring.length r);
-  Alcotest.(check bool) "capacity 0 rejected" true
-    (match Baobs.Ring.create ~capacity:0 with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
+(* --- Csv edge cases -------------------------------------------------------- *)
 
 let test_csv_quoting () =
   Alcotest.(check string) "plain field untouched" "abc" (Baobs.Csv.field "abc");
@@ -378,123 +276,6 @@ let test_series_empty_exports () =
     Baobs.Json.(
       as_int (member_exn "multicasts" (member_exn "totals" json)));
   Alcotest.(check int) "max_round of empty" (-2) (Baobs.Series.max_round series)
-
-(* --- Probe spans / clamp ---------------------------------------------------- *)
-
-(* Probe timestamps come from wall-clock [Unix.gettimeofday], which can
-   step backwards under NTP; a span closed across a step must clamp to
-   zero rather than subtract from the cumulative total. We simulate the
-   backwards step by closing a span whose open token lies in the
-   future. *)
-let test_probe_negative_span_clamped () =
-  let p = Baobs.Probe.register "test.clamp" in
-  Baobs.Probe.reset ();
-  Baobs.Probe.enable ();
-  let future = (Unix.gettimeofday () *. 1e9) +. 3.6e12 (* one hour ahead *) in
-  Baobs.Probe.stop p future;
-  Baobs.Probe.disable ();
-  (match
-     List.find_opt (fun (n, _, _) -> n = "test.clamp") (Baobs.Probe.snapshot ())
-   with
-  | Some (_, count, total_ns) ->
-      Alcotest.(check int) "span still counted" 1 count;
-      Alcotest.(check (float 0.0)) "duration clamped to zero" 0.0 total_ns
-  | None -> Alcotest.fail "clamped probe missing from snapshot");
-  Baobs.Probe.reset ()
-
-let test_probe_span_ring () =
-  let p = Baobs.Probe.register "test.spanring" in
-  Baobs.Probe.record_spans ~capacity:4;
-  Baobs.Probe.reset ();
-  Baobs.Probe.enable ();
-  for _ = 1 to 6 do
-    Baobs.Probe.time p (fun () -> ignore (Sys.opaque_identity (1 + 1)))
-  done;
-  Baobs.Probe.disable ();
-  let spans = Baobs.Probe.spans () in
-  Alcotest.(check int) "ring keeps the last capacity spans" 4
-    (List.length spans);
-  Alcotest.(check int) "two spans evicted" 2 (Baobs.Probe.spans_dropped ());
-  List.iter
-    (fun (s : Baobs.Probe.span) ->
-      Alcotest.(check string) "span names the probe" "test.spanring"
-        s.Baobs.Probe.probe;
-      Alcotest.(check bool) "nonnegative duration" true
-        (s.Baobs.Probe.dur_ns >= 0.0))
-    spans;
-  (* reset empties the ring but keeps it installed. *)
-  Baobs.Probe.reset ();
-  Alcotest.(check (list string)) "reset clears spans" []
-    (List.map (fun (s : Baobs.Probe.span) -> s.Baobs.Probe.probe)
-       (Baobs.Probe.spans ()));
-  Alcotest.(check bool) "still recording" true (Baobs.Probe.recording_spans ())
-
-(* --- Chrome trace ----------------------------------------------------------- *)
-
-let required_keys = [ "name"; "ph"; "ts"; "pid"; "tid" ]
-
-let check_trace_events json =
-  let events =
-    Baobs.Json.(as_list (member_exn "traceEvents" json))
-  in
-  Alcotest.(check bool) "has events" true (events <> []);
-  List.iter
-    (fun e ->
-      List.iter
-        (fun key ->
-          match Baobs.Json.member key e with
-          | Some _ -> ()
-          | None -> Alcotest.fail (Printf.sprintf "event missing %S" key))
-        required_keys)
-    events;
-  events
-
-let test_chrome_trace_of_spans () =
-  let spans =
-    [ { Baobs.Probe.probe = "engine.honest_step"; start_ns = 5.0e9; dur_ns = 1.0e6 };
-      { Baobs.Probe.probe = "vrf.eval"; start_ns = 5.001e9; dur_ns = 2.0e5 } ]
-  in
-  let json = Baobs.Chrome_trace.of_spans spans in
-  let events = check_trace_events json in
-  (* Timestamps are normalized to the earliest span and in µs. *)
-  let xs =
-    List.filter
-      (fun e -> Baobs.Json.(as_string (member_exn "ph" e)) = "X")
-      events
-  in
-  Alcotest.(check int) "one X event per span" 2 (List.length xs);
-  let ts =
-    List.map (fun e -> Baobs.Json.(as_float (member_exn "ts" e))) xs
-  in
-  Alcotest.(check bool) "earliest span at ts 0" true (List.mem 0.0 ts);
-  Alcotest.(check bool) "all ts within run" true
-    (List.for_all (fun t -> t >= 0.0 && t <= 1.0e4) ts);
-  (* The whole document survives a JSON round-trip. *)
-  Alcotest.(check bool) "chrome json roundtrip" true
-    (Baobs.Json.of_string (Baobs.Json.to_string json) = json)
-
-let test_chrome_trace_of_profile_totals_only () =
-  (* A profile with probe totals but no recorded spans still converts:
-     each probe becomes one bar carrying its call count. *)
-  Baobs.Probe.reset ();
-  Baobs.Probe.enable ();
-  let p = Baobs.Probe.register "test.profile" in
-  Baobs.Probe.stop p (Unix.gettimeofday () *. 1e9);
-  Baobs.Probe.disable ();
-  let profile =
-    Baobs.Json.of_string
-      (Baobs.Json.to_string
-         (Baobs.Json.Obj
-            [ ("schema", Baobs.Json.String "ba-profile/v1");
-              ("probes", Baobs.Probe.to_json ());
-              ("spans", Baobs.Json.List []) ]))
-  in
-  let events = check_trace_events (Baobs.Chrome_trace.of_profile profile) in
-  Alcotest.(check bool) "aggregate bar present" true
-    (List.exists
-       (fun e -> Baobs.Json.(as_string (member_exn "name" e)) = "test.profile")
-       events);
-  Baobs.Probe.reset ()
 
 (* --- Bench compare ---------------------------------------------------------- *)
 
@@ -823,6 +604,7 @@ let test_resource_json_roundtrip () =
     (fun a b ->
       Alcotest.(check int) "round" a.Baobs.Resource.round
         b.Baobs.Resource.round;
+      Alcotest.(check int) "ns" a.Baobs.Resource.ns b.Baobs.Resource.ns;
       Alcotest.(check bool) "allocated equal" true
         (a.Baobs.Resource.row_allocated_words
         = b.Baobs.Resource.row_allocated_words))
@@ -837,24 +619,55 @@ let test_resource_json_roundtrip () =
   Alcotest.(check int) "csv lines"
     (1 + List.length (Baobs.Resource.rows r))
     (List.length csv_lines);
-  (* Foreign schema refused. *)
-  Alcotest.(check bool) "foreign schema refused" true
-    (match
-       Baobs.Resource.report_of_json
-         (Baobs.Json.Obj [ ("schema", Baobs.Json.String "nope/v1") ])
-     with
-    | exception Baobs.Json.Parse_error _ -> true
-    | _ -> false)
+  (* Foreign schemas refused, including v1, whose rows carry no ns. *)
+  List.iter
+    (fun tag ->
+      Alcotest.(check bool) (tag ^ " refused") true
+        (match
+           Baobs.Resource.report_of_json
+             (Baobs.Json.Obj [ ("schema", Baobs.Json.String tag) ])
+         with
+        | exception Baobs.Json.Parse_error _ -> true
+        | _ -> false))
+    [ "nope/v1"; "ba-resource/v1" ]
+
+(* Row times are monotonic-clock windows that open where the previous
+   one closed, so they are never negative and together fit inside the
+   wall time measured around the recorded run. *)
+let test_resource_ns_within_wall_time () =
+  let r = Baobs.Resource.create () in
+  let t0 = Monotonic_clock.now () in
+  let _ = run_sub_hm_with_resource ~resource:(Some r) ~seed:5L in
+  let wall = Int64.to_int (Int64.sub (Monotonic_clock.now ()) t0) in
+  let rows = Baobs.Resource.rows r in
+  List.iter
+    (fun row ->
+      Alcotest.(check bool)
+        (Printf.sprintf "round %d ns >= 0" row.Baobs.Resource.round)
+        true
+        (row.Baobs.Resource.ns >= 0))
+    rows;
+  let total =
+    List.fold_left (fun acc row -> acc + row.Baobs.Resource.ns) 0 rows
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "rows sum %d ns <= wall %d ns" total wall)
+    true
+    (total > 0 && total <= wall);
+  Alcotest.(check int) "totals.ns is the row sum" total
+    Baobs.Json.(
+      as_int (member_exn "ns" (member_exn "totals" (Baobs.Resource.to_json r))))
 
 let synthetic_resource_json rows =
   Baobs.Json.Obj
-    [ ("schema", Baobs.Json.String "ba-resource/v1");
+    [ ("schema", Baobs.Json.String "ba-resource/v2");
       ( "rounds",
         Baobs.Json.List
           (List.mapi
              (fun i allocated ->
                Baobs.Json.Obj
                  [ ("round", Baobs.Json.Int i);
+                   ("ns", Baobs.Json.Int 1000);
                    ("allocated_words", Baobs.Json.Float allocated);
                    ("promoted_words", Baobs.Json.Float 0.0);
                    ("minor_gcs", Baobs.Json.Int 0);
@@ -1247,6 +1060,132 @@ let test_truncated_trace_names_line () =
     [ ("report", fun t -> ignore (Baobs_report.Report.of_jsonl_string t));
       ("causal", fun t -> ignore (Baobs_report.Causal.of_jsonl_string t)) ]
 
+(* --- Reader robustness ---------------------------------------------------- *)
+
+(* Every reader of a file a run leaves behind must answer a truncated or
+   hand-edited copy with a result or [Json.Parse_error] — the error
+   [ba_obs] turns into one line and exit 1 — never with another
+   exception. The inputs are prefixes of the legacy trace fixture and
+   copies with one member replaced by an out-of-range node id or round
+   (the fixture has n = 9) or a value of the wrong type. *)
+
+let fuzz_n = 9
+
+let fuzz_values =
+  Baobs.Json.
+    [ Int (-7); Int (-1); Int fuzz_n; Int (fuzz_n + 3); String "x"; Null;
+      List []; Float 1.5 ]
+
+let rec member_count = function
+  | Baobs.Json.Obj fields ->
+      List.fold_left (fun acc (_, v) -> acc + 1 + member_count v) 0 fields
+  | Baobs.Json.List items ->
+      List.fold_left (fun acc v -> acc + member_count v) 0 items
+  | Baobs.Json.(Null | Bool _ | Int _ | Float _ | String _) -> 0
+
+(* Replace the [k]-th object member's value, counting members in
+   pre-order. *)
+let replace_member json k value =
+  let seen = ref 0 in
+  let rec go = function
+    | Baobs.Json.Obj fields ->
+        Baobs.Json.Obj
+          (List.map
+             (fun (key, v) ->
+               let here = !seen in
+               incr seen;
+               if here = k then (key, value) else (key, go v))
+             fields)
+    | Baobs.Json.List items -> Baobs.Json.List (List.map go items)
+    | Baobs.Json.(Null | Bool _ | Int _ | Float _ | String _) as j -> j
+  in
+  go json
+
+let mutate_json json ~member ~value =
+  replace_member json
+    (member mod member_count json)
+    (List.nth fuzz_values (value mod List.length fuzz_values))
+
+let truncate text cut = String.sub text 0 (cut mod (String.length text + 1))
+
+let fuzz_trace =
+  lazy (read_file "fixtures/legacy_e1_trace.jsonl")
+
+(* A recorded ba-resource document of the fixture's configuration. *)
+let fuzz_resource =
+  lazy
+    (let r = Baobs.Resource.create () in
+     let params = Params.make ~lambda:4 ~max_epochs:3 () in
+     Baobs.Resource.open_round r ~round:(-1);
+     ignore
+       (Engine.run ~tracer:(Trace.resource_tracer r)
+          (Sub_third.protocol ~params ~world:`Hybrid
+             ~mode:Sub_third.Bit_specific)
+          ~adversary:(Baattacks.Eraser.make ()) ~n:fuzz_n ~budget:3
+          ~inputs:(Scenario.unanimous_inputs ~n:fuzz_n true)
+          ~max_rounds:24 ~seed:7L);
+     Baobs.Resource.close r;
+     Baobs.Json.to_string (Baobs.Resource.to_json r))
+
+let trace_readers =
+  [ ("Report.of_jsonl_string",
+     fun t -> ignore (Baobs_report.Report.of_jsonl_string t));
+    ("Causal.of_jsonl_string",
+     fun t -> ignore (Baobs_report.Causal.of_jsonl_string t));
+    ("Causal.of_jsonl_string ~n",
+     fun t -> ignore (Baobs_report.Causal.of_jsonl_string ~n:fuzz_n t));
+    ("Trace_lint.verify",
+     fun t ->
+       ignore
+         (Bacheck.Trace_lint.verify ~model:Corruption.Adaptive ~budget:3
+            (Trace.events_of_jsonl t))) ]
+
+let resource_readers =
+  [ ("Resource.report_of_json",
+     fun t -> ignore (Baobs.Resource.report_of_json (Baobs.Json.of_string t))) ]
+
+(* [true] when every reader returns or raises [Json.Parse_error]. *)
+let readers_survive readers text =
+  List.for_all
+    (fun (name, read) ->
+      match read text with
+      | () | (exception Baobs.Json.Parse_error _) -> true
+      | exception e ->
+          QCheck.Test.fail_reportf "%s raised %s on:\n%s" name
+            (Printexc.to_string e) text)
+    readers
+
+let mutate_trace text ~line ~member ~value =
+  let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' text) in
+  let line = line mod List.length lines in
+  String.concat "\n"
+    (List.mapi
+       (fun i l ->
+         if i <> line then l
+         else
+           Baobs.Json.to_string
+             (mutate_json (Baobs.Json.of_string l) ~member ~value))
+       lines)
+  ^ "\n"
+
+let reader_fuzz_tests =
+  let arb = QCheck.(quad (int_bound 100_000) small_nat small_nat small_nat) in
+  [ QCheck.Test.make ~name:"trace readers: truncated fixture" ~count:300 arb
+      (fun (cut, _, _, _) ->
+        readers_survive trace_readers (truncate (Lazy.force fuzz_trace) cut));
+    QCheck.Test.make ~name:"trace readers: one member mutated" ~count:500 arb
+      (fun (_, line, member, value) ->
+        readers_survive trace_readers
+          (mutate_trace (Lazy.force fuzz_trace) ~line ~member ~value));
+    QCheck.Test.make ~name:"resource reader: truncated or mutated" ~count:300
+      arb
+      (fun (cut, _, member, value) ->
+        let doc = Lazy.force fuzz_resource in
+        readers_survive resource_readers (truncate doc cut)
+        && readers_survive resource_readers
+             (Baobs.Json.to_string
+                (mutate_json (Baobs.Json.of_string doc) ~member ~value))) ]
+
 let test_causal_off_byte_identity () =
   (* Re-run the committed fixture's exact configuration on today's
      engine with causal recording off: the JSONL must match the
@@ -1370,28 +1309,10 @@ let () =
           Alcotest.test_case "whitespace" `Quick test_json_parse_whitespace;
           Alcotest.test_case "errors" `Quick test_json_parse_errors;
           Alcotest.test_case "rates" `Quick test_rates_json_roundtrip ] );
-      ( "ring",
-        [ Alcotest.test_case "drops oldest" `Quick test_ring_drops_oldest;
-          Alcotest.test_case "exact capacity boundary" `Quick
-            test_ring_exact_capacity;
-          Alcotest.test_case "empty and invalid" `Quick
-            test_ring_empty_and_invalid ] );
       ( "csv",
         [ Alcotest.test_case "quoting" `Quick test_csv_quoting;
           Alcotest.test_case "empty series exports" `Quick
             test_series_empty_exports ] );
-      ( "probe",
-        [ Alcotest.test_case "spans" `Quick test_probe_spans;
-          Alcotest.test_case "two-domain hammer" `Quick
-            test_probe_two_domain_hammer;
-          Alcotest.test_case "negative span clamped" `Quick
-            test_probe_negative_span_clamped;
-          Alcotest.test_case "span ring" `Quick test_probe_span_ring ] );
-      ( "chrome-trace",
-        [ Alcotest.test_case "required keys from spans" `Quick
-            test_chrome_trace_of_spans;
-          Alcotest.test_case "totals-only profile" `Quick
-            test_chrome_trace_of_profile_totals_only ] );
       ( "bench-compare",
         [ Alcotest.test_case "identical inputs exit 0" `Quick
             test_bench_compare_identical;
@@ -1413,8 +1334,14 @@ let () =
             test_resource_trace_byte_identical;
           Alcotest.test_case "json roundtrip" `Quick
             test_resource_json_roundtrip;
+          Alcotest.test_case "ns within wall time" `Quick
+            test_resource_ns_within_wall_time;
           Alcotest.test_case "flatness verdicts" `Quick
             test_resource_flatness_verdicts ] );
+      ( "reader-robustness",
+        List.map
+          (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xf022 |]))
+          reader_fuzz_tests );
       ( "sink-path",
         [ Alcotest.test_case "validate_path" `Quick test_validate_path ] );
       ( "series",
