@@ -1338,7 +1338,7 @@ let () =
             test_resource_ns_within_wall_time;
           Alcotest.test_case "flatness verdicts" `Quick
             test_resource_flatness_verdicts ] );
-      ( "reader-robustness",
+      ( "reader-fuzz",
         List.map
           (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xf022 |]))
           reader_fuzz_tests );
