@@ -197,8 +197,9 @@ let causal_n_arg =
     & opt (some int) None
     & info [ "n" ] ~docv:"N"
         ~doc:
-          "Node count (default: the smallest count consistent with the \
-           trace).")
+          "Node count (default: the recipient count of the trace's \
+           multicasts, which must agree; a trace without a multicast \
+           needs $(docv)).")
 
 let causal_check_arg =
   Arg.(

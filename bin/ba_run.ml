@@ -133,7 +133,7 @@ let parameter_error proto ~n ~budget ~lambda ~epochs ~reps ~jobs =
    engine, adversary, and printer together. *)
 let dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
     ~jobs ~sparse ~trace ~trace_jsonl ~metrics_json ~resource_json ~causal
-    ~causal_json ~check_trace ~lenient_caps =
+    ~causal_json ~check_trace =
   (* --causal-json implies causal recording (message ids, kind labels,
      explicit recipient lists in the trace). *)
   let causal = causal || causal_json <> None in
@@ -215,7 +215,6 @@ let dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
     | A_split | A_equivocator | A_cm_equivocator | A_takeover ->
         Error "this adversary only targets specific protocols"
   in
-  let on_caps_mismatch = if lenient_caps then `Warn else `Refuse in
   (* Pipe the collected trace through the invariant verifier; a finding
      means the run violated the declared adversary model. Exit 3 keeps
      trace violations distinct from property-verdict failures (2). *)
@@ -249,7 +248,7 @@ let dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
             (* fresh hook per trial: trials may run on parallel domains *)
             let sparse = Option.map (fun make -> make ()) sparse_make in
             let result =
-              Engine.run ?sparse ~on_caps_mismatch proto_rec
+              Engine.run ?sparse proto_rec
                 ~adversary:(make_adv ()) ~n ~budget ~inputs ~max_rounds ~seed:s
             in
             (result, Properties.agreement ~inputs result))
@@ -287,7 +286,7 @@ let dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
       let sparse = Option.map (fun make -> make ()) sparse_make in
       Option.iter (Baobs.Resource.open_round ~round:(-1)) resource;
       let result =
-        Engine.run ~tracer ?labeler ?sparse ~on_caps_mismatch proto_rec
+        Engine.run ~tracer ?labeler ?sparse proto_rec
           ~adversary ~n ~budget ~inputs ~max_rounds ~seed:seed64
       in
       Option.iter Baobs.Resource.close resource;
@@ -546,18 +545,9 @@ let sparse_arg =
            path; a round costs O(active nodes) instead of O(n × inbox), \
            which is what makes n = 100000 runs practical.")
 
-let lenient_caps_arg =
-  Arg.(
-    value & flag
-    & info [ "lenient-caps" ]
-        ~doc:
-          "Only warn (instead of refusing to run) when the adversary's \
-           declared capabilities are inconsistent with the corruption model \
-           or budget.")
-
 let main proto adv n budget lambda epochs inputs_choice seed reps jobs
     sparse trace trace_jsonl metrics_json resource_json causal causal_json
-    check_trace lenient_caps =
+    check_trace =
   (* Reject doomed output destinations before the run, not after it:
      --metrics-json and --resource-json only open their file once the
      (possibly long) execution has completed. *)
@@ -597,7 +587,7 @@ let main proto adv n budget lambda epochs inputs_choice seed reps jobs
     try
       dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
         ~jobs ~sparse ~trace ~trace_jsonl ~metrics_json ~resource_json ~causal
-        ~causal_json ~check_trace ~lenient_caps
+        ~causal_json ~check_trace
     with Sys_error e ->
       (* e.g. a destination that became unwritable mid-run *)
       prerr_endline ("ba_run: " ^ e);
@@ -612,6 +602,6 @@ let cmd =
       $ epochs_arg $ inputs_arg $ seed_arg $ reps_arg $ jobs_arg
       $ sparse_arg $ trace_arg $ trace_jsonl_arg
       $ metrics_json_arg $ resource_json_arg $ causal_arg $ causal_json_arg
-      $ check_trace_arg $ lenient_caps_arg)
+      $ check_trace_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -1,4 +1,5 @@
 open Basim
+module S = Baobs.Series
 
 type kind =
   | Non_monotonic_round
@@ -19,18 +20,6 @@ type finding = {
   detail : string;
 }
 
-let kinds =
-  [ Non_monotonic_round;
-    Round_mismatch;
-    Static_midround_corruption;
-    Over_budget;
-    Removal_without_model;
-    Removal_of_uncorrupted;
-    Sent_while_corrupt;
-    Injection_from_honest;
-    Event_after_halt;
-    Accounting_mismatch ]
-
 let kind_name = function
   | Non_monotonic_round -> "non-monotonic-round"
   | Round_mismatch -> "round-mismatch"
@@ -42,8 +31,6 @@ let kind_name = function
   | Injection_from_honest -> "injection-from-honest"
   | Event_after_halt -> "event-after-halt"
   | Accounting_mismatch -> "accounting-mismatch"
-
-let kind_of_name s = List.find_opt (fun k -> kind_name k = s) kinds
 
 let pp_finding fmt f =
   Format.fprintf fmt "[%s] round %d%s: %s" (kind_name f.kind) f.round
@@ -67,19 +54,13 @@ let findings_to_json findings =
        findings)
 
 (* Verification walks the stream once, tracking who is corrupt (and
-   since when), who halted (and when), the round in progress, and the
-   Definition-6/7 accounting totals. *)
+   since when), who halted (and when), and the round in progress; the
+   accounting is [check_metrics]'s replay. *)
 type state = {
   mutable current : int;  (* round in progress; -1 = pre-execution *)
   mutable started : bool;  (* a Round_started has been seen *)
   corrupt : (int, int) Hashtbl.t;  (* node -> corruption round *)
   halted : (int, int) Hashtbl.t;  (* node -> halt round *)
-  mutable corruptions : int;  (* distinct corrupted nodes *)
-  mutable multicasts : int;
-  mutable multicast_bits : int;
-  mutable unicasts : int;
-  mutable removals : int;
-  mutable injections : int;
   mutable findings : finding list;  (* reversed *)
 }
 
@@ -91,15 +72,6 @@ let check_event_round st ~round ~node detail =
     report st Round_mismatch ~round ~node
       (Printf.sprintf "%s carries round %d while round %d is in progress"
          detail round st.current)
-
-(* An honest send's accounting footprint — shared by Sent and Removed,
-   because Definition 7 charges erased honest sends too. *)
-let account st ~multicast ~recipients ~bits =
-  if multicast then begin
-    st.multicasts <- st.multicasts + 1;
-    st.multicast_bits <- st.multicast_bits + bits
-  end
-  else st.unicasts <- st.unicasts + recipients
 
 let check_send st ~round ~node ~label =
   (match Hashtbl.find_opt st.corrupt node with
@@ -140,13 +112,13 @@ let observe st ~model ~budget event =
       end;
       if not (Hashtbl.mem st.corrupt node) then begin
         Hashtbl.replace st.corrupt node round;
-        st.corruptions <- st.corruptions + 1;
-        if st.corruptions > budget then
+        let corruptions = Hashtbl.length st.corrupt in
+        if corruptions > budget then
           report st Over_budget ~round ~node:(Some node)
-            (Printf.sprintf "%d nodes corrupted, budget is %d" st.corruptions
+            (Printf.sprintf "%d nodes corrupted, budget is %d" corruptions
                budget)
       end
-  | Trace.Removed { round; victim; multicast; recipients; bits; _ } ->
+  | Trace.Removed { round; victim; _ } ->
       check_event_round st ~round ~node:(Some victim) "removal";
       if not (Corruption.allows_removal model) then
         report st Removal_without_model ~round ~node:(Some victim)
@@ -163,13 +135,10 @@ let observe st ~model ~budget event =
                victim rc)
       | None ->
           report st Removal_of_uncorrupted ~round ~node:(Some victim)
-            (Printf.sprintf "victim %d is honest" victim));
-      st.removals <- st.removals + 1;
-      account st ~multicast ~recipients ~bits
-  | Trace.Sent { round; node; multicast; recipients; bits; _ } ->
+            (Printf.sprintf "victim %d is honest" victim))
+  | Trace.Sent { round; node; _ } ->
       check_event_round st ~round ~node:(Some node) "send";
-      check_send st ~round ~node ~label:"send";
-      account st ~multicast ~recipients ~bits
+      check_send st ~round ~node ~label:"send"
   | Trace.Injected { round; src; _ } ->
       check_event_round st ~round ~node:(Some src) "injection";
       (match Hashtbl.find_opt st.corrupt src with
@@ -181,8 +150,7 @@ let observe st ~model ~budget event =
                rc)
       | None ->
           report st Injection_from_honest ~round ~node:(Some src)
-            (Printf.sprintf "injection from honest node %d" src));
-      st.injections <- st.injections + 1
+            (Printf.sprintf "injection from honest node %d" src))
   | Trace.Halted { round; node; output = _ } ->
       check_event_round st ~round ~node:(Some node) "halt";
       (match Hashtbl.find_opt st.halted node with
@@ -192,21 +160,64 @@ let observe st ~model ~budget event =
                node rh)
       | None -> Hashtbl.replace st.halted node round)
 
-let check_metrics st metrics =
-  let expect label got want =
-    if got <> want then
+(* Definition-7 accounting: the trace's replay must equal the run's
+   metrics in every series cell (one finding per kind, at its first
+   differing cell) and in [rounds]. *)
+let check_metrics st metrics events =
+  let series = Metrics.series metrics in
+  match Metrics.of_events ~n:(S.n_nodes series) events with
+  | exception Baobs.Json.Parse_error e ->
       report st Accounting_mismatch ~round:st.current ~node:None
-        (Printf.sprintf "%s: trace reconstructs %d, metrics say %d" label got
-           want)
-  in
-  expect "honest multicasts (sent + removed)" st.multicasts
-    (Metrics.honest_multicasts metrics);
-  expect "multicast bits (Definition 7)" st.multicast_bits
-    (Metrics.honest_multicast_bits metrics);
-  expect "honest unicasts" st.unicasts (Metrics.honest_unicasts metrics);
-  expect "removals" st.removals (Metrics.removals metrics);
-  expect "injections" st.injections (Metrics.injections metrics);
-  expect "rounds" (st.current + 1) (Metrics.rounds metrics)
+        ("the trace cannot be replayed: " ^ e)
+  | replay ->
+      let cells = Hashtbl.create 256 in
+      let note series pick =
+        S.fold series
+          (fun () ~round ~node kind v ->
+            let key = (kind, round, node) in
+            let cell = Hashtbl.find_opt cells key in
+            Hashtbl.replace cells key
+              (pick (Option.value cell ~default:(0, 0)) v))
+          ()
+      in
+      note (Metrics.series replay) (fun (got, want) v -> (got + v, want));
+      note series (fun (got, want) v -> (got, want + v));
+      let unrecorded_bits =
+        List.exists
+          (function
+            | Trace.Injected { bits; _ } -> bits < 0
+            | Trace.Round_started _ | Trace.Sent _ | Trace.Corrupted _
+            | Trace.Removed _ | Trace.Halted _ -> false)
+          events
+      in
+      let by_cell (r1, n1, _, _) (r2, n2, _, _) =
+        match Int.compare r1 r2 with 0 -> Int.compare n1 n2 | c -> c
+      in
+      List.iter
+        (fun kind ->
+          let differing =
+            Hashtbl.fold
+              (fun (k, round, node) (got, want) acc ->
+                let skip = unrecorded_bits && k = S.Injection_bits in
+                if k = kind && got <> want && not skip then
+                  (round, node, got, want) :: acc
+                else acc)
+              cells []
+          in
+          match List.sort by_cell differing with
+          | [] -> ()
+          | (round, node, got, want) :: _ ->
+              report st Accounting_mismatch ~round ~node:(Some node)
+                (Printf.sprintf
+                   "%s: %d cell(s) differ, the first here: trace \
+                    reconstructs %d, metrics say %d"
+                   (S.kind_name kind) (List.length differing) got want))
+        S.all_kinds;
+      let got = Metrics.rounds replay and want = Metrics.rounds metrics in
+      if got <> want then
+        report st Accounting_mismatch ~round:st.current ~node:None
+          (Printf.sprintf "rounds: trace reconstructs %d, metrics say %d" got
+             want)
 
 let verify ?metrics ~model ~budget events =
   let st =
@@ -214,25 +225,8 @@ let verify ?metrics ~model ~budget events =
       started = false;
       corrupt = Hashtbl.create 64;
       halted = Hashtbl.create 64;
-      corruptions = 0;
-      multicasts = 0;
-      multicast_bits = 0;
-      unicasts = 0;
-      removals = 0;
-      injections = 0;
       findings = [] }
   in
   List.iter (observe st ~model ~budget) events;
-  (match metrics with Some m -> check_metrics st m | None -> ());
+  (match metrics with Some m -> check_metrics st m events | None -> ());
   List.rev st.findings
-
-let verify_collector ?metrics ~model ~budget collector =
-  verify ?metrics ~model ~budget (Trace.events collector)
-
-let load_jsonl path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      Trace.events_of_jsonl (really_input_string ic len))

@@ -25,10 +25,11 @@
       never [Sent]; only corrupt nodes can be injected from;
     - {b halting} ({!Event_after_halt}): a halted node sends nothing in
       later rounds;
-    - {b Definition-7 accounting} ({!Accounting_mismatch}): honest
-      multicasts/bits reconstructed from [Sent] {e plus} [Removed]
-      events (erased honest sends still count) must equal the
-      {!Basim.Metrics} aggregates of the same run. *)
+    - {b Definition-7 accounting} ({!Accounting_mismatch}): the trace
+      replayed through {!Basim.Metrics.of_events} ([Sent] {e plus}
+      [Removed] events, since erased honest sends still count) must
+      equal the {!Basim.Metrics} of the same run in every per-(round,
+      node, kind) series cell and in [rounds]. *)
 
 type kind =
   | Non_monotonic_round  (** [Round_started] rounds not strictly increasing *)
@@ -42,8 +43,9 @@ type kind =
   | Injection_from_honest  (** [Injected] from a never-corrupted source *)
   | Event_after_halt  (** [Sent] after the node halted, or a duplicate halt *)
   | Accounting_mismatch
-      (** trace-reconstructed Definition-6/7 totals disagree with
-          {!Basim.Metrics} *)
+      (** a series cell (or [rounds]) of the trace's replay disagrees
+          with {!Basim.Metrics}; one finding per kind, at its first
+          differing cell *)
 
 type finding = {
   kind : kind;
@@ -54,8 +56,6 @@ type finding = {
 
 val kind_name : kind -> string
 (** Stable kebab-case tag, e.g. ["removal-without-model"]. *)
-
-val kind_of_name : string -> kind option
 
 val pp_finding : Format.formatter -> finding -> unit
 
@@ -69,16 +69,7 @@ val verify :
   finding list
 (** Check every invariant over a full (unfiltered) event stream; [[]]
     means the trace is clean. [metrics], when given, must come from the
-    same run — enables the Definition-7 accounting cross-check. *)
-
-val verify_collector :
-  ?metrics:Basim.Metrics.t ->
-  model:Basim.Corruption.model ->
-  budget:int ->
-  Basim.Trace.collector ->
-  finding list
-
-val load_jsonl : string -> Basim.Trace.event list
-(** {!Basim.Trace.events_of_jsonl} over a file path.
-    @raise Sys_error when unreadable.
-    @raise Baobs.Json.Parse_error naming the malformed line. *)
+    same run — enables the Definition-7 accounting cross-check, cell by
+    cell. [Injection_bits] cells are skipped when the trace did not
+    record injection bits (an unlabeled run), and a trace
+    {!Basim.Trace.validate} refuses is one accounting finding. *)

@@ -95,26 +95,40 @@ let resolve_dst ~n ~multicast ~recipients ~targets =
         else if recipients >= n then (D_all, false)
         else (D_all, true)
 
+(* Without [-n], n is the recipient count every honest multicast agrees
+   on (the engine delivers a multicast to all n nodes). Node ids do not
+   name n: one forged id would size the n × rounds grid. *)
 let infer_n events =
-  List.fold_left
-    (fun acc e ->
-      let node_bound =
-        match e with
-        | Trace.Round_started _ -> 0
-        | Trace.Sent { node; multicast; recipients; targets; _ } ->
-            let t = List.fold_left (fun a j -> max a (j + 1)) 0 targets in
-            max (node + 1) (max t (if multicast then recipients else 0))
-        | Trace.Removed { victim; multicast; recipients; targets; _ } ->
-            let t = List.fold_left (fun a j -> max a (j + 1)) 0 targets in
-            max (victim + 1) (max t (if multicast then recipients else 0))
-        | Trace.Injected { src; recipients; targets; _ } ->
-            let t = List.fold_left (fun a j -> max a (j + 1)) 0 targets in
-            max (src + 1) (max t recipients)
-        | Trace.Corrupted { node; _ } -> node + 1
-        | Trace.Halted { node; _ } -> node + 1
-      in
-      max acc node_bound)
-    1 events
+  let multicasts =
+    List.concat
+      (List.mapi
+         (fun k e ->
+           match e with
+           | Trace.Sent { multicast = true; recipients; _ }
+           | Trace.Removed { multicast = true; recipients; _ } ->
+               [ (k, e, recipients) ]
+           | Trace.Sent _ | Trace.Removed _ | Trace.Round_started _
+           | Trace.Corrupted _ | Trace.Injected _ | Trace.Halted _ -> [])
+         events)
+  in
+  match multicasts with
+  | [] ->
+      raise
+        (Baobs.Json.Parse_error
+           "no multicast in the trace to infer the node count from; pass -n")
+  | (_, _, n) :: rest ->
+      (* a count below 1 is refused by [Trace.validate]: no sender fits *)
+      List.iter
+        (fun (k, e, r) ->
+          if r <> n then
+            raise
+              (Baobs.Json.Parse_error
+                 (Printf.sprintf
+                    "event %d (%s): multicast to %d recipients, earlier \
+                     multicasts to %d"
+                    (k + 1) (Trace.kind_of e) r n)))
+        rest;
+      n
 
 let iter_targets ~n m f =
   match m.m_dst with
@@ -124,57 +138,9 @@ let iter_targets ~n m f =
       done
   | D_targets ts -> List.iter f ts
 
-(* A malformed trace must fail with a message, not index the state grid
-   out of range, size it from a forged round, or count a node the run
-   did not have: round starts count up from 0, every other event's
-   round lies in [-1, latest round start], and every node it names in
-   [0, n). Events are numbered from 1, which is the JSONL line number
-   when the file has no blank lines. *)
-let validate ~n events =
-  let last = ref (-1) in
-  List.iteri
-    (fun k e ->
-      let bad fmt =
-        Format.kasprintf
-          (fun s ->
-            raise
-              (Baobs.Json.Parse_error
-                 (Printf.sprintf "event %d (%s): %s" (k + 1)
-                    (Trace.kind_of e) s)))
-          fmt
-      in
-      let node what i =
-        if i < 0 || i >= n then bad "%s %d outside [0, %d)" what i n
-      in
-      let round r =
-        if r < -1 || r > !last then bad "round %d outside [-1, %d]" r !last
-      in
-      match e with
-      | Trace.Round_started { round } ->
-          if round <> !last + 1 then
-            bad "round %d does not follow round %d" round !last;
-          last := round
-      | Trace.Sent { round = r; node = i; targets; _ } ->
-          round r;
-          node "node" i;
-          List.iter (node "target") targets
-      | Trace.Removed { round = r; victim; targets; _ } ->
-          round r;
-          node "victim" victim;
-          List.iter (node "target") targets
-      | Trace.Injected { round = r; src; targets; _ } ->
-          round r;
-          node "src" src;
-          List.iter (node "target") targets
-      | Trace.Corrupted { round = r; node = i }
-      | Trace.Halted { round = r; node = i; _ } ->
-          round r;
-          node "node" i)
-    events
-
 let of_events ?n events =
   let n = match n with Some n -> max 1 n | None -> infer_n events in
-  validate ~n events;
+  Trace.validate ~n events;
   let max_round =
     List.fold_left (fun acc e -> max acc (Trace.round_of e)) (-1) events
   in
@@ -358,7 +324,7 @@ let of_events ?n events =
   in
   (* Per-kind × per-round flow matrix, Definition-7 accounting: severed
      sends count toward the sender's multicast/unicast totals *and* as
-     removals, matching [Basim.Metrics] / [Report]. *)
+     removals, matching [Basim.Metrics]. *)
   let flow_tbl : (int * string, flow ref) Hashtbl.t = Hashtbl.create 32 in
   let flow_slot round kind =
     match Hashtbl.find_opt flow_tbl (round, kind) with
@@ -470,23 +436,24 @@ let check t =
       if m.m_round < 0 then
         err "message %d: sent in negative round %d" m.m_id m.m_round)
     t.msgs;
-  (* Flow-matrix sums must reproduce the Definition-7 totals of an
-     independently coded analysis over the same events. *)
-  let totals = Report.totals (Report.of_events t.events) in
+  (* Flow-matrix sums must reproduce the Definition-7 totals of the
+     trace's replay through [Metrics], an independent fold over the
+     same events. *)
+  let series = Metrics.series (Metrics.of_events ~n:t.c_n t.events) in
   let sum f = List.fold_left (fun acc x -> acc + f x) 0 t.c_flows in
-  let expect name got want =
-    if got <> want then err "flows.%s = %d but report totals say %d" name got want
-  in
-  expect "multicasts" (sum (fun f -> f.f_multicasts)) totals.Report.multicasts;
-  expect "multicast_bits"
-    (sum (fun f -> f.f_multicast_bits))
-    totals.Report.multicast_bits;
-  expect "unicasts" (sum (fun f -> f.f_unicasts)) totals.Report.unicasts;
-  expect "unicast_bits"
-    (sum (fun f -> f.f_unicast_bits))
-    totals.Report.unicast_bits;
-  expect "removals" (sum (fun f -> f.f_removals)) totals.Report.removals;
-  expect "injections" (sum (fun f -> f.f_injections)) totals.Report.injections;
+  List.iter
+    (fun (kind, field) ->
+      let got = sum field and want = Baobs.Series.total series kind in
+      if got <> want then
+        err "flows.%s = %d but the replayed metrics say %d"
+          (Baobs.Series.kind_name kind) got want)
+    [ (Baobs.Series.Multicast, fun f -> f.f_multicasts);
+      (Baobs.Series.Multicast_bits, fun f -> f.f_multicast_bits);
+      (Baobs.Series.Unicast, fun f -> f.f_unicasts);
+      (Baobs.Series.Unicast_bits, fun f -> f.f_unicast_bits);
+      (Baobs.Series.Removal, fun f -> f.f_removals);
+      (Baobs.Series.Injection, fun f -> f.f_injections);
+      (Baobs.Series.Injection_bits, fun f -> f.f_injection_bits) ];
   (* Per-decision sanity. *)
   let states = t.c_n * t.c_rounds in
   List.iter

@@ -80,13 +80,13 @@ type summary = {
 }
 
 val of_events : ?n:int -> Basim.Trace.event list -> t
-(** Build the DAG and run every analysis. [n] defaults to the smallest
-    node count consistent with the trace (max node index + 1, and any
-    multicast's recipient count).
-    @raise Baobs.Json.Parse_error naming the (1-based) event index when
-    round starts do not count up from 0, an event's round lies outside
-    [\[-1, latest round start\]], or a node, victim, src or target lies
-    outside [\[0, n)]. *)
+(** Build the DAG and run every analysis. Without [n], the node count
+    is the recipient count of the honest multicasts ([Sent]/[Removed]
+    with [multicast]; a multicast reaches all n nodes), so node ids
+    never size the n × rounds grid.
+    @raise Baobs.Json.Parse_error when [n] is absent and the trace has
+    no multicast or its multicasts disagree, and on any trace
+    {!Basim.Trace.validate} refuses. *)
 
 val of_jsonl_string : ?n:int -> string -> t
 (** Parse a JSONL trace ({!Basim.Trace.events_of_jsonl}) and analyze
@@ -116,10 +116,10 @@ val check : t -> (unit, string list) result
     - every delivery edge advances the round by exactly one (the DAG is
       acyclic by round-stratification — verified over the materialized
       adjacency, not assumed);
-    - the flow matrix sums to the Definition-7 totals of an
-      independently computed {!Report} over the same events
-      (multicasts, multicast bits, unicasts, unicast bits, removals,
-      injections — the engine's {!Basim.Metrics} accounting);
+    - the flow matrix sums to the Definition-7 totals of the same
+      events replayed through {!Basim.Metrics.of_events} (multicasts,
+      multicast bits, unicasts, unicast bits, removals, injections,
+      injection bits — the engine's accounting);
     - per decision: [0 <= tainted <= cone <= states], the cone contains
       at least the decider's own memory chain, and the critical path
       fits in the decision round;

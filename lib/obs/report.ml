@@ -1,24 +1,22 @@
-(* Trace analytics: fold a (re-parsed) execution trace into per-round,
-   per-node, and per-size views with Definition-7 accounting — erased
-   honest sends ([Removed] events, which carry the erased send's shape)
-   still count toward honest multicasts/unicasts, exactly as
-   [Basim.Metrics] counts them, so a report's totals reproduce the
-   engine's aggregates for the same run. *)
+(* Trace analytics over the replay of a trace through
+   [Basim.Metrics.of_events]; the report adds only what its [Series]
+   does not hold: halts and the message-size histograms. *)
 
 open Basim
+module S = Baobs.Series
 
 type counts = {
-  mutable multicasts : int;
-  mutable multicast_bits : int;
-  mutable unicasts : int;        (* targeted sends × recipients *)
-  mutable unicast_bits : int;    (* recipients × bits per targeted send *)
-  mutable removals : int;
-  mutable injections : int;
-  mutable corruptions : int;
-  mutable halts : int;
+  multicasts : int;
+  multicast_bits : int;
+  unicasts : int;        (* targeted sends × recipients *)
+  unicast_bits : int;    (* recipients × bits per targeted send *)
+  removals : int;
+  injections : int;
+  corruptions : int;
+  halts : int;
 }
 
-let zero_counts () =
+let zero =
   { multicasts = 0;
     multicast_bits = 0;
     unicasts = 0;
@@ -28,99 +26,124 @@ let zero_counts () =
     corruptions = 0;
     halts = 0 }
 
+let add c (kind : S.kind) v =
+  match kind with
+  | S.Multicast -> { c with multicasts = c.multicasts + v }
+  | S.Multicast_bits -> { c with multicast_bits = c.multicast_bits + v }
+  | S.Unicast -> { c with unicasts = c.unicasts + v }
+  | S.Unicast_bits -> { c with unicast_bits = c.unicast_bits + v }
+  | S.Removal -> { c with removals = c.removals + v }
+  | S.Injection -> { c with injections = c.injections + v }
+  | S.Corruption -> { c with corruptions = c.corruptions + v }
+  | S.Injection_bits -> c
+
+(* The report's columns, in output order. *)
+let fields c =
+  [ ("multicasts", c.multicasts);
+    ("multicast_bits", c.multicast_bits);
+    ("unicasts", c.unicasts);
+    ("unicast_bits", c.unicast_bits);
+    ("removals", c.removals);
+    ("injections", c.injections);
+    ("corruptions", c.corruptions);
+    ("halts", c.halts) ]
+
+module Int_map = Map.Make (Int)
+
 type t = {
   events : Trace.event list;
   totals : counts;
-  per_round : (int, counts) Hashtbl.t;
-  per_node : (int, counts) Hashtbl.t;
+  rounds : (int * counts) list;
+  nodes : (int * counts) list;
   multicast_sizes : Bastats.Histogram.t;  (* bits per honest multicast *)
   unicast_sizes : Bastats.Histogram.t;    (* bits per honest targeted send *)
 }
 
-let bucket table key =
-  match Hashtbl.find_opt table key with
-  | Some c -> c
-  | None ->
-      let c = zero_counts () in
-      Hashtbl.add table key c;
-      c
+(* Series storage is sparse in nodes, so the replay can size itself
+   from the ids the trace names: a forged id costs one cell, not an
+   n-wide table, and one past [Series.max_nodes] is refused by the
+   validation. *)
+let n_of_ids events =
+  let top =
+    List.fold_left
+      (fun acc e ->
+        match e with
+        | Trace.Round_started _ -> acc
+        | Trace.Sent { node = i; targets; _ }
+        | Trace.Removed { victim = i; targets; _ }
+        | Trace.Injected { src = i; targets; _ } ->
+            List.fold_left max (max acc i) targets
+        | Trace.Corrupted { node = i; _ } | Trace.Halted { node = i; _ } ->
+            max acc i)
+      0 events
+  in
+  min top (S.max_nodes - 1) + 1
 
 let of_events ?rounds events =
-  let events =
+  let in_window =
     match rounds with
-    | None -> events
+    | None -> fun _ -> true
     | Some (lo, hi) ->
         if lo > hi then invalid_arg "Report.of_events: empty rounds window";
-        List.filter
-          (fun e ->
-            let r = Trace.round_of e in
-            lo <= r && r <= hi)
-          events
+        fun r -> lo <= r && r <= hi
   in
-  let t =
-    { events;
-      totals = zero_counts ();
-      per_round = Hashtbl.create 64;
-      per_node = Hashtbl.create 64;
-      multicast_sizes = Bastats.Histogram.create ();
-      unicast_sizes = Bastats.Histogram.create () }
-  in
-  let record event =
-    let tally round node f =
-      f t.totals;
-      f (bucket t.per_round round);
-      match node with None -> () | Some i -> f (bucket t.per_node i)
+  let series = Metrics.series (Metrics.of_events ~n:(n_of_ids events) events) in
+  let events = List.filter (fun e -> in_window (Trace.round_of e)) events in
+  let multicast_sizes = Bastats.Histogram.create ()
+  and unicast_sizes = Bastats.Histogram.create () in
+  let tally (total, by_round, by_node) ~round ~node f =
+    let bump key =
+      Int_map.update key (fun c -> Some (f (Option.value c ~default:zero)))
     in
-    let honest_send ~round ~node ~multicast ~recipients ~bits =
-      if multicast then begin
-        tally round node (fun c ->
-            c.multicasts <- c.multicasts + 1;
-            c.multicast_bits <- c.multicast_bits + bits);
-        Bastats.Histogram.add t.multicast_sizes bits
-      end
-      else begin
-        tally round node (fun c ->
-            c.unicasts <- c.unicasts + recipients;
-            c.unicast_bits <- c.unicast_bits + (recipients * bits));
-        Bastats.Histogram.add t.unicast_sizes bits
-      end
-    in
-    match event with
-    | Trace.Round_started _ -> ()
-    | Trace.Sent { round; node; multicast; recipients; bits; _ } ->
-        honest_send ~round ~node:(Some node) ~multicast ~recipients ~bits
-    | Trace.Removed { round; victim; multicast; recipients; bits; _ } ->
-        (* Definition 7: the erased send still counts for its sender. *)
-        honest_send ~round ~node:(Some victim) ~multicast ~recipients ~bits;
-        tally round (Some victim) (fun c -> c.removals <- c.removals + 1)
-    | Trace.Injected { round; src; _ } ->
-        tally round (Some src) (fun c -> c.injections <- c.injections + 1)
-    | Trace.Corrupted { round; node } ->
-        tally round (Some node) (fun c -> c.corruptions <- c.corruptions + 1)
-    | Trace.Halted { round; node; output = _ } ->
-        tally round (Some node) (fun c -> c.halts <- c.halts + 1)
+    (f total, bump round by_round, bump node by_node)
   in
-  List.iter record events;
-  t
+  (* Rows come from the events, not the cells: a halt has no cell, nor
+     has a send to zero recipients, and each still shows as a row. *)
+  let acc =
+    List.fold_left
+      (fun acc e ->
+        let round = Trace.round_of e in
+        match e with
+        | Trace.Round_started _ -> acc
+        | Trace.Sent { node; multicast; bits; _ }
+        | Trace.Removed { victim = node; multicast; bits; _ } ->
+            Bastats.Histogram.add
+              (if multicast then multicast_sizes else unicast_sizes)
+              bits;
+            tally acc ~round ~node Fun.id
+        | Trace.Injected { src = node; _ } | Trace.Corrupted { node; _ } ->
+            tally acc ~round ~node Fun.id
+        | Trace.Halted { node; _ } ->
+            tally acc ~round ~node (fun c -> { c with halts = c.halts + 1 }))
+      (zero, Int_map.empty, Int_map.empty)
+      events
+  in
+  let totals, by_round, by_node =
+    S.fold series
+      (fun acc ~round ~node kind v ->
+        if in_window round then tally acc ~round ~node (fun c -> add c kind v)
+        else acc)
+      acc
+  in
+  { events;
+    totals;
+    rounds = Int_map.bindings by_round;
+    nodes = Int_map.bindings by_node;
+    multicast_sizes;
+    unicast_sizes }
 
 let of_jsonl_string ?rounds text =
   of_events ?rounds (Trace.events_of_jsonl text)
 
 (* ---------- accessors --------------------------------------------------- *)
 
-let events t = t.events
-
 let event_count t = List.length t.events
 
 let totals t = t.totals
 
-let sorted_bindings table =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) table []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+let rounds t = t.rounds
 
-let rounds t = sorted_bindings t.per_round
-
-let nodes t = sorted_bindings t.per_node
+let nodes t = t.nodes
 
 let top_talkers ?(k = 10) t =
   let by_load (i1, c1) (i2, c2) =
@@ -148,44 +171,26 @@ let multicast_size_summary t = size_summary t.multicast_sizes
 
 let unicast_size_summary t = size_summary t.unicast_sizes
 
-let multicast_sizes t = t.multicast_sizes
-
-let unicast_sizes t = t.unicast_sizes
-
 (* ---------- consistency check ------------------------------------------- *)
 
 (* The produce→analyze round-trip CI gates on: every event re-serializes
    to the JSON it was parsed from (to_json/of_json inverses), and the
    per-round and per-node tables sum back to the totals. *)
 let check t =
-  let sum field =
-    List.fold_left (fun acc (_, c) -> acc + field c) 0
+  let values c = List.map snd (fields c) in
+  let sums rows =
+    List.fold_left
+      (fun acc (_, c) -> List.map2 ( + ) acc (values c))
+      (values zero) rows
   in
-  let mismatch name total per_round per_node =
-    if total <> per_round then
-      Some
-        (Printf.sprintf "%s: totals=%d per-round sum=%d" name total per_round)
-    else if total <> per_node then
-      Some (Printf.sprintf "%s: totals=%d per-node sum=%d" name total per_node)
-    else None
-  in
-  let fields =
-    [ ("multicasts", (fun c -> c.multicasts));
-      ("multicast_bits", (fun c -> c.multicast_bits));
-      ("unicasts", (fun c -> c.unicasts));
-      ("unicast_bits", (fun c -> c.unicast_bits));
-      ("removals", (fun c -> c.removals));
-      ("injections", (fun c -> c.injections));
-      ("corruptions", (fun c -> c.corruptions));
-      ("halts", (fun c -> c.halts)) ]
-  in
-  let table_errors =
-    List.filter_map
-      (fun (name, field) ->
-        mismatch name (field t.totals)
-          (sum field (rounds t))
-          (sum field (nodes t)))
-      fields
+  let mismatches label rows =
+    List.concat
+      (List.map2
+         (fun (name, total) sum ->
+           if total = sum then []
+           else
+             [ Printf.sprintf "%s: totals=%d %s sum=%d" name total label sum ])
+         (fields t.totals) (sums rows))
   in
   let roundtrip_errors =
     List.filter_map
@@ -198,25 +203,19 @@ let check t =
                (Baobs.Json.to_string j)))
       t.events
   in
-  match table_errors @ roundtrip_errors with
+  match
+    mismatches "per-round" (rounds t)
+    @ mismatches "per-node" (nodes t)
+    @ roundtrip_errors
+  with
   | [] -> Ok ()
   | errors -> Error errors
 
 (* ---------- exporters --------------------------------------------------- *)
 
-let counts_cells c =
-  [ string_of_int c.multicasts;
-    string_of_int c.multicast_bits;
-    string_of_int c.unicasts;
-    string_of_int c.unicast_bits;
-    string_of_int c.removals;
-    string_of_int c.injections;
-    string_of_int c.corruptions;
-    string_of_int c.halts ]
+let counts_columns = List.map fst (fields zero)
 
-let counts_columns =
-  [ "multicasts"; "multicast_bits"; "unicasts"; "unicast_bits"; "removals";
-    "injections"; "corruptions"; "halts" ]
+let counts_cells c = List.map (fun (_, v) -> string_of_int v) (fields c)
 
 let round_table t =
   let table =
@@ -271,11 +270,7 @@ let to_text ?k t =
       Bastats.Table.render (talkers_table ?k t);
       Bastats.Table.render (sizes_table t) ]
 
-let counts_json c =
-  Baobs.Json.Obj
-    (List.map2
-       (fun name cell -> (name, Baobs.Json.Int (int_of_string cell)))
-       counts_columns (counts_cells c))
+let counts_json c = List.map (fun (k, v) -> (k, Baobs.Json.Int v)) (fields c)
 
 let summary_json = function
   | None -> Baobs.Json.Null
@@ -294,18 +289,13 @@ let to_json ?k t =
     Baobs.Json.List
       (List.map
          (fun (key, c) ->
-           match counts_json c with
-           | Baobs.Json.Obj fields ->
-               Baobs.Json.Obj ((name, Baobs.Json.Int key) :: fields)
-           | Baobs.Json.Null | Baobs.Json.Bool _ | Baobs.Json.Int _
-           | Baobs.Json.Float _ | Baobs.Json.String _ | Baobs.Json.List _ ->
-               assert false)
+           Baobs.Json.Obj ((name, Baobs.Json.Int key) :: counts_json c))
          bindings)
   in
   Baobs.Json.Obj
     [ ("schema", Baobs.Json.String "ba-report/v1");
       ("events", Baobs.Json.Int (event_count t));
-      ("totals", counts_json t.totals);
+      ("totals", Baobs.Json.Obj (counts_json t.totals));
       ("rounds", keyed "round" (rounds t));
       ("nodes", keyed "node" (nodes t));
       ("top_talkers", keyed "node" (top_talkers ?k t));

@@ -4,40 +4,41 @@
     communication table with top-k talkers, and per-kind message-size
     summaries (p50/p95/p99 over {!Bastats.Histogram} bins).
 
-    Accounting follows Definition 7 exactly as [Basim.Metrics] does:
-    erased honest sends ([Removed] events, which carry the erased
-    send's shape) count toward honest multicasts/unicasts {e and} as
-    removals, so a report's totals reproduce the engine's aggregates
-    for the same run — asserted in [test/test_obs.ml] and by the
-    [ba_obs report --check] CI round-trip. *)
+    The Definition-7 counts are read, in one pass, from the series
+    cells of the trace replayed through {!Basim.Metrics.of_events}, so
+    an erased honest send counts toward honest multicasts/unicasts
+    {e and} as a removal exactly as the engine counts it, and report
+    totals reproduce the run's aggregates. The report adds only halts
+    and the message-size histograms. *)
 
 type counts = {
-  mutable multicasts : int;
-  mutable multicast_bits : int;  (** Definition-7 bits *)
-  mutable unicasts : int;        (** targeted sends × recipients *)
-  mutable unicast_bits : int;
-  mutable removals : int;
-  mutable injections : int;
-  mutable corruptions : int;
-  mutable halts : int;
+  multicasts : int;
+  multicast_bits : int;  (** Definition-7 bits *)
+  unicasts : int;        (** targeted sends × recipients *)
+  unicast_bits : int;
+  removals : int;
+  injections : int;
+  corruptions : int;
+  halts : int;
 }
 
 type t
 
 val of_events : ?rounds:int * int -> Basim.Trace.event list -> t
-(** [rounds], when given, is an inclusive [(lo, hi)] window applied
-    before any table is built: events outside it (by
-    [Basim.Trace.round_of]; setup events are round [-1]) are dropped,
-    so the timeline, matrix, histograms — and the sums {!check}
-    verifies — all cover exactly the window.
-    @raise Invalid_argument if [lo > hi]. *)
+(** [rounds], when given, is an inclusive [(lo, hi)] window: events
+    and series cells outside it (by [Basim.Trace.round_of]; setup
+    events are round [-1]) are dropped, so the timeline, matrix,
+    histograms — and the sums {!check} verifies — all cover exactly the
+    window. The whole trace is validated first ({!Basim.Trace.validate},
+    with n = 1 + the largest node id it names).
+    @raise Invalid_argument if [lo > hi].
+    @raise Baobs.Json.Parse_error naming the event index of an
+    impossible round or a negative node id. *)
 
 val of_jsonl_string : ?rounds:int * int -> string -> t
 (** {!of_events} over {!Basim.Trace.events_of_jsonl}.
     @raise Baobs.Json.Parse_error naming the line of a malformed
     event. *)
-
-val events : t -> Basim.Trace.event list
 
 val event_count : t -> int
 
@@ -50,19 +51,10 @@ val nodes : t -> (int * counts) list
 (** Per-node communication matrix, node ids ascending. Removals are
     charged to the victim, injections to the corrupt source. *)
 
-val top_talkers : ?k:int -> t -> (int * counts) list
-(** The [k] (default 10) heaviest nodes by multicast bits (unicast bits,
-    then node id, break ties). *)
-
 val multicast_size_summary : t -> Bastats.Summary.t option
 (** [None] when no multicast was observed. *)
 
 val unicast_size_summary : t -> Bastats.Summary.t option
-
-val multicast_sizes : t -> Bastats.Histogram.t
-(** Bits-per-multicast histogram (erased sends included). *)
-
-val unicast_sizes : t -> Bastats.Histogram.t
 
 val check : t -> (unit, string list) result
 (** Internal consistency: every event round-trips through
@@ -70,14 +62,11 @@ val check : t -> (unit, string list) result
     sum back to the totals. [ba_obs report --check] exits nonzero on
     [Error]. *)
 
-val round_table : t -> Bastats.Table.t
-
-val talkers_table : ?k:int -> t -> Bastats.Table.t
-
-val sizes_table : t -> Bastats.Table.t
-
 val to_text : ?k:int -> t -> string
-(** The three tables rendered for terminals. *)
+(** The per-round timeline, the [k] (default 10) heaviest nodes by
+    multicast bits (unicast bits, then node id, break ties), and the
+    message-size summaries (erased sends included), rendered for
+    terminals. *)
 
 val to_json : ?k:int -> t -> Baobs.Json.t
 (** [ba-report/v1]: totals, per-round rows, per-node rows, top talkers,

@@ -46,8 +46,10 @@ type t = {
   totals : int array;  (* per kind, summed as cells are recorded *)
 }
 
+let max_nodes = max_int / n_kinds
+
 let create ~n =
-  if n <= 0 then invalid_arg "Series.create: n must be positive";
+  if n <= 0 || n > max_nodes then invalid_arg "Series.create: n out of range";
   { n; buckets = Array.make 8 None; used = 0; totals = Array.make n_kinds 0 }
 
 let n_nodes t = t.n
@@ -110,12 +112,6 @@ let round_total t ~round kind =
         Hashtbl.fold
           (fun key v acc -> if key mod n_kinds = ki then acc + v else acc)
           b 0
-
-let node_total t ~node kind =
-  fold t
-    (fun acc ~round:_ ~node:i k v ->
-      if i = node && k = kind then acc + v else acc)
-    0
 
 (* Grouped [(round, [(node, counts array)])] view, rounds and nodes
    ascending, used by both exporters. *)

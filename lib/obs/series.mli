@@ -30,7 +30,11 @@ val kind_name : kind -> string
 
 type t
 
+val max_nodes : int
+(** The largest [n] a series can key its cells by. *)
+
 val create : n:int -> t
+(** @raise Invalid_argument unless [0 < n <= max_nodes]. *)
 
 val n_nodes : t -> int
 
@@ -42,8 +46,6 @@ val total : t -> kind -> int
 (** Sum of every cell of [kind] — O(1): kept up to date by {!record}. *)
 
 val round_total : t -> round:int -> kind -> int
-
-val node_total : t -> node:int -> kind -> int
 
 val max_round : t -> int
 (** Highest round with a bucket, or [-2] when empty. *)

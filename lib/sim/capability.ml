@@ -12,8 +12,6 @@ let name = function
   | After_fact_removal -> "after-fact-removal"
   | Injection -> "injection"
 
-let of_name s = List.find_opt (fun c -> name c = s) all
-
 type decl = { caps : t list; budget_bound : int option }
 
 let has decl cap = List.mem cap decl.caps
@@ -53,12 +51,3 @@ let mismatch_to_string = function
   | Bound_exceeds_budget { bound; budget } ->
       Printf.sprintf "declared budget bound %d exceeds the granted budget %d"
         bound budget
-
-let pp_mismatch fmt m = Format.pp_print_string fmt (mismatch_to_string m)
-
-let decl_to_string decl =
-  Printf.sprintf "{%s; bound=%s}"
-    (String.concat ", " (List.map name decl.caps))
-    (match decl.budget_bound with
-    | None -> "f"
-    | Some b -> string_of_int b)

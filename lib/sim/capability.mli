@@ -31,8 +31,6 @@ val name : t -> string
 (** Stable kebab-case tag: [setup-corruption], [midround-corruption],
     [after-fact-removal], [injection]. *)
 
-val of_name : string -> t option
-
 type decl = {
   caps : t list;  (** powers the adversary may exercise *)
   budget_bound : int option;
@@ -65,8 +63,3 @@ val validate : decl -> model:Corruption.model -> budget:int -> mismatch list
     is consistent with the model. *)
 
 val mismatch_to_string : mismatch -> string
-
-val pp_mismatch : Format.formatter -> mismatch -> unit
-
-val decl_to_string : decl -> string
-(** E.g. ["{midround-corruption, after-fact-removal; bound=f}"]. *)

@@ -157,8 +157,8 @@ let sparse_of_step (proto : ('env, 'state, 'msg) protocol) :
 
 let illegal fmt = Format.kasprintf (fun s -> raise (Illegal_action s)) fmt
 
-let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?(on_caps_mismatch = `Refuse)
-    ?labeler ?sparse proto ~adversary ~n ~budget ~inputs ~max_rounds ~seed =
+let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?labeler ?sparse proto
+    ~adversary ~n ~budget ~inputs ~max_rounds ~seed =
   if Array.length inputs <> n then
     invalid_arg "Engine.run: inputs length must equal n";
   (* Causal recording: with a labeler, every wire gets a fresh per-run id
@@ -186,19 +186,13 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?(on_caps_mismatch = `Refuse
   in
   (* Declaration-vs-model consistency, checked before a single round
      runs: an adversary whose declared capability set exceeds what its
-     model grants is refused outright (or warned about, behind the
-     flag). *)
+     model grants is refused outright. *)
   (match Capability.validate adversary.caps ~model:adversary.model ~budget with
   | [] -> ()
-  | mismatches -> (
-      let msg =
-        Printf.sprintf "adversary %s: %s" adversary.adv_name
-          (String.concat "; "
-             (List.map Capability.mismatch_to_string mismatches))
-      in
-      match on_caps_mismatch with
-      | `Refuse -> raise (Illegal_action msg)
-      | `Warn -> Printf.eprintf "warning: %s\n%!" msg));
+  | mismatches ->
+      illegal "adversary %s: %s" adversary.adv_name
+        (String.concat "; "
+           (List.map Capability.mismatch_to_string mismatches)));
   let require_cap cap =
     if not (Capability.has adversary.caps cap) then
       illegal "adversary %s did not declare the %s capability"
@@ -608,8 +602,8 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?(on_caps_mismatch = `Refuse
       all_honest_decided;
       halt_rounds } )
 
-let run ?tracer ?on_caps_mismatch ?labeler ?sparse proto ~adversary ~n
-    ~budget ~inputs ~max_rounds ~seed =
+let run ?tracer ?labeler ?sparse proto ~adversary ~n ~budget ~inputs
+    ~max_rounds ~seed =
   snd
-    (run_env ?tracer ?on_caps_mismatch ?labeler ?sparse proto ~adversary ~n
-       ~budget ~inputs ~max_rounds ~seed)
+    (run_env ?tracer ?labeler ?sparse proto ~adversary ~n ~budget ~inputs
+       ~max_rounds ~seed)

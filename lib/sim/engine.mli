@@ -110,7 +110,8 @@ type ('env, 'msg) adversary = {
   model : Corruption.model;
   caps : Capability.decl;
       (** Declared capability set. Checked against [model] before the
-          first round (see [on_caps_mismatch] on {!run}); every runtime
+          first round ({!run} raises {!Illegal_action} on a
+          mismatch); every runtime
           action additionally requires its capability to be declared, so
           an adversary can exercise strictly less power than declared —
           never more. *)
@@ -196,7 +197,6 @@ val sparse_of_step :
 
 val run :
   ?tracer:(Trace.event -> unit) ->
-  ?on_caps_mismatch:[ `Refuse | `Warn ] ->
   ?labeler:('msg -> string) ->
   ?sparse:('env, 'state, 'msg) sparse_step ->
   ('env, 'state, 'msg) protocol ->
@@ -236,18 +236,14 @@ val run :
     {b Phase 1.} [sparse], when given, replaces the default
     [sparse_of_step proto] hook (see {!sparse_step}).
 
-    [on_caps_mismatch] (default [`Refuse]) governs what happens when the
-    adversary's declared {!Capability.decl} is inconsistent with its
-    model ({!Capability.validate}): [`Refuse] raises {!Illegal_action}
-    before any round runs, [`Warn] prints the mismatches to stderr and
-    proceeds (runtime refereeing still applies).
     @raise Invalid_argument if [Array.length inputs <> n].
-    @raise Illegal_action if the adversary violates its model or exceeds
-    its declared capabilities. *)
+    @raise Illegal_action before any round runs if the adversary's
+    declared {!Capability.decl} is inconsistent with its model or
+    budget ({!Capability.validate}), and during the run if the adversary
+    violates its model or exceeds its declared capabilities. *)
 
 val run_env :
   ?tracer:(Trace.event -> unit) ->
-  ?on_caps_mismatch:[ `Refuse | `Warn ] ->
   ?labeler:('msg -> string) ->
   ?sparse:('env, 'state, 'msg) sparse_step ->
   ('env, 'state, 'msg) protocol ->

@@ -27,6 +27,32 @@ let record_corruption t ~round ~node =
 
 let note_round t r = if r > t.max_round then t.max_round <- r
 
+(* The one Definition-7 fold over a recorded trace: each event goes
+   through the [record_*] function the engine called when it happened. *)
+let of_events ~n events =
+  Trace.validate ~n events;
+  let t = create ~n in
+  let honest_send ~round ~node ~multicast ~recipients ~bits =
+    if multicast then record_honest_multicast t ~round ~node ~bits
+    else record_honest_unicast t ~round ~node ~recipients ~bits
+  in
+  List.iter
+    (function
+      | Trace.Round_started { round } -> note_round t round
+      | Trace.Sent { round; node; multicast; recipients; bits; _ } ->
+          honest_send ~round ~node ~multicast ~recipients ~bits
+      | Trace.Removed { round; victim; multicast; recipients; bits; _ } ->
+          (* Definition 7: the erased send still counts for its sender. *)
+          honest_send ~round ~node:victim ~multicast ~recipients ~bits;
+          record_removal t ~round ~node:victim
+      | Trace.Injected { round; src; bits; _ } ->
+          (* an unlabeled trace leaves the bits unrecorded ([-1]) *)
+          record_injection t ~round ~node:src ~bits:(max 0 bits)
+      | Trace.Corrupted { round; node } -> record_corruption t ~round ~node
+      | Trace.Halted _ -> ())
+    events;
+  t
+
 let n t = S.n_nodes t.series
 
 let honest_multicasts t = S.total t.series S.Multicast

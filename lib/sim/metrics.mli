@@ -41,6 +41,15 @@ val record_corruption : t -> round:int -> node:int -> unit
 val note_round : t -> int -> unit
 (** Record that round [r] executed (keeps the max). *)
 
+val of_events : n:int -> Trace.event list -> t
+(** Replay a trace through the [record_*] functions — the one
+    Definition-7 fold over events: [Sent] is an honest send; [Removed]
+    is the same send {e and} a removal; [Injected] is an injection whose
+    bits count only when recorded ([bits >= 0]); [Corrupted] is a
+    corruption; [Round_started] is {!note_round}. A run's trace replays
+    to its metrics cell by cell ([Injection_bits] only if labeled).
+    @raise Baobs.Json.Parse_error as {!Trace.validate}. *)
+
 val honest_multicasts : t -> int
 (** Number of honest multicasts. *)
 

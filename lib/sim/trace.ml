@@ -84,10 +84,6 @@ let message_id = function
   | Sent { id; _ } | Removed { id; _ } | Injected { id; _ } -> Some id
   | Round_started _ | Corrupted _ | Halted _ -> None
 
-let message_kind = function
-  | Sent { kind; _ } | Removed { kind; _ } | Injected { kind; _ } -> Some kind
-  | Round_started _ | Corrupted _ | Halted _ -> None
-
 (* Causal fields are appended only when present, so a run without causal
    recording serializes byte-identically to the legacy (pre-causal)
    format — the contract CI pins with cmp. *)
@@ -197,6 +193,46 @@ let of_json json =
             | Int _ | Float _ | String _ | List _ | Obj _ ->
                 fail "halted output must be a bool or null") }
   | kind -> fail (Printf.sprintf "unknown event kind %S" kind)
+
+let validate ~n events =
+  let last = ref (-1) in
+  List.iteri
+    (fun k e ->
+      let bad fmt =
+        Format.kasprintf
+          (fun s ->
+            raise
+              (Baobs.Json.Parse_error
+                 (Printf.sprintf "event %d (%s): %s" (k + 1) (kind_of e) s)))
+          fmt
+      in
+      let node what i =
+        if i < 0 || i >= n then bad "%s %d outside [0, %d)" what i n
+      in
+      let round r =
+        if r < -1 || r > !last then bad "round %d outside [-1, %d]" r !last
+      in
+      match e with
+      | Round_started { round } ->
+          if round <> !last + 1 then
+            bad "round %d does not follow round %d" round !last;
+          last := round
+      | Sent { round = r; node = i; targets; _ } ->
+          round r;
+          node "node" i;
+          List.iter (node "target") targets
+      | Removed { round = r; victim; targets; _ } ->
+          round r;
+          node "victim" victim;
+          List.iter (node "target") targets
+      | Injected { round = r; src; targets; _ } ->
+          round r;
+          node "src" src;
+          List.iter (node "target") targets
+      | Corrupted { round = r; node = i } | Halted { round = r; node = i; _ } ->
+          round r;
+          node "node" i)
+    events
 
 (* ---------- collectors -------------------------------------------------- *)
 

@@ -79,9 +79,6 @@ val message_id : event -> int option
 (** The wire id of a message-bearing event ([Sent]/[Removed]/[Injected]);
     [None] for the others. May be [Some no_id] on unlabeled traces. *)
 
-val message_kind : event -> string option
-(** The kind label of a message-bearing event; [None] for the others. *)
-
 val to_json : event -> Baobs.Json.t
 (** Causal fields ([id]/[kind]/[targets], and [Injected]'s [bits]) are
     emitted only when they differ from the unlabeled sentinels, so
@@ -95,6 +92,14 @@ val of_json : Baobs.Json.t -> event
     sentinel defaults ([id = -1], [kind = ""], [targets = []]).
     @raise Baobs.Json.Parse_error on missing fields, wrong field types,
     or an unknown ["event"] tag. *)
+
+val validate : n:int -> event list -> unit
+(** Refuse a trace no run of [n] nodes could have written, before
+    anything is sized from it: round starts count up from 0, every other
+    event's round lies in [\[-1, latest round start\]], and every node,
+    victim, src and target in [\[0, n)].
+    @raise Baobs.Json.Parse_error ["event K (kind): ..."], K counting
+    events from 1 (the JSONL line without blank lines). *)
 
 type collector
 

@@ -8,12 +8,11 @@ open Bacore
 
 (* --- helpers ------------------------------------------------------------ *)
 
-let collect_run ?on_caps_mismatch proto ~adversary ~n ~budget ~inputs
-    ~max_rounds ~seed =
+let collect_run proto ~adversary ~n ~budget ~inputs ~max_rounds ~seed =
   let c = Trace.collector () in
   let result =
-    Engine.run ~tracer:(Trace.observe c) ?on_caps_mismatch proto ~adversary ~n
-      ~budget ~inputs ~max_rounds ~seed
+    Engine.run ~tracer:(Trace.observe c) proto ~adversary ~n ~budget ~inputs
+      ~max_rounds ~seed
   in
   (Trace.events c, result)
 
@@ -218,17 +217,20 @@ let test_neg_round_mismatch () =
   in
   assert_finds "event from the wrong round" Bacheck.Trace_lint.Round_mismatch fs
 
+(* A real passive sub-hm run: multicasts only, no adversary events. *)
+let passive_run () =
+  let params = Params.make ~lambda:40 ~max_epochs:40 () in
+  collect_run
+    (Sub_hm.protocol ~params ~world:`Hybrid)
+    ~adversary:(Engine.passive ~name:"passive" ~model:Corruption.Adaptive)
+    ~n:21 ~budget:0
+    ~inputs:(Scenario.unanimous_inputs ~n:21 true)
+    ~max_rounds:172 ~seed:2L
+
 let test_neg_accounting_mismatch () =
   (* Take a real run, drop one Sent event: the reconstruction no longer
      matches the engine's Metrics. *)
-  let params = Params.make ~lambda:40 ~max_epochs:40 () in
-  let proto = Sub_hm.protocol ~params ~world:`Hybrid in
-  let adversary = Engine.passive ~name:"passive" ~model:Corruption.Adaptive in
-  let events, result =
-    collect_run proto ~adversary ~n:21 ~budget:0
-      ~inputs:(Scenario.unanimous_inputs ~n:21 true)
-      ~max_rounds:172 ~seed:2L
-  in
+  let events, result = passive_run () in
   let dropped_one =
     let seen = ref false in
     List.filter
@@ -247,55 +249,68 @@ let test_neg_accounting_mismatch () =
   assert_finds "dropped send breaks Definition-7 totals"
     Bacheck.Trace_lint.Accounting_mismatch fs
 
+let test_neg_moved_multicast_cell () =
+  (* Metrics with the trace's totals, but the first multicast charged to
+     the next node: only a cell-by-cell comparison sees it. *)
+  let events, result = passive_run () in
+  let moved = Metrics.create ~n:21 in
+  let first = ref true in
+  List.iter
+    (function
+      | Trace.Round_started { round } -> Metrics.note_round moved round
+      | Trace.Sent { round; node; bits; _ } ->
+          let node = if !first then (node + 1) mod 21 else node in
+          first := false;
+          Metrics.record_honest_multicast moved ~round ~node ~bits
+      | _ -> ())
+    events;
+  let m = result.Engine.metrics in
+  Alcotest.(check (pair int int)) "same totals"
+    (Metrics.honest_multicasts m, Metrics.honest_multicast_bits m)
+    (Metrics.honest_multicasts moved, Metrics.honest_multicast_bits moved);
+  assert_finds "one multicast cell moved" Bacheck.Trace_lint.Accounting_mismatch
+    (Bacheck.Trace_lint.verify ~metrics:moved ~model:Corruption.Adaptive
+       ~budget:0 events)
+
 (* --- capability checking ------------------------------------------------ *)
 
 let test_caps_eraser_models () =
   let eraser = Baattacks.Eraser.make () in
   Alcotest.(check int)
     "eraser consistent with its own (strongly adaptive) model" 0
-    (List.length (Bacheck.Capability.check_adversary eraser ~budget:7));
-  let fs =
-    Bacheck.Capability.check ~adversary:"eraser" eraser.Engine.caps
-      ~model:Corruption.Adaptive ~budget:7
+    (List.length
+       (Capability.validate eraser.Engine.caps ~model:eraser.Engine.model
+          ~budget:7));
+  let ms =
+    Capability.validate eraser.Engine.caps ~model:Corruption.Adaptive
+      ~budget:7
   in
   Alcotest.(check bool)
     "removal capability clashes with adaptive" true
     (List.exists
-       (fun f ->
-         match f.Bacheck.Capability.mismatch with
-         | Capability.Removal_not_allowed _ -> true
-         | Capability.Midround_not_allowed _
-         | Capability.Bound_exceeds_budget _ ->
-             false)
-       fs)
+       (function Capability.Removal_not_allowed _ -> true | _ -> false)
+       ms)
 
 let test_caps_static_midround () =
   let decl =
     { Capability.caps = [ Capability.Midround_corruption ];
       budget_bound = None }
   in
-  let fs =
-    Bacheck.Capability.check decl ~model:Corruption.Static ~budget:3
-  in
+  let ms = Capability.validate decl ~model:Corruption.Static ~budget:3 in
   Alcotest.(check bool)
     "midround capability clashes with static" true
     (List.exists
-       (fun f ->
-         match f.Bacheck.Capability.mismatch with
-         | Capability.Midround_not_allowed _ -> true
-         | Capability.Removal_not_allowed _
-         | Capability.Bound_exceeds_budget _ ->
-             false)
-       fs)
+       (function Capability.Midround_not_allowed _ -> true | _ -> false)
+       ms)
 
 let test_caps_bound_exceeds_budget () =
   let decl = { Capability.caps = []; budget_bound = Some 5 } in
   Alcotest.(check int)
     "bound 5 > budget 3 is one finding" 1
-    (List.length (Bacheck.Capability.check decl ~model:Corruption.Static ~budget:3));
+    (List.length (Capability.validate decl ~model:Corruption.Static ~budget:3));
   Alcotest.(check int)
     "bound within budget is fine" 0
-    (List.length (Bacheck.Capability.check decl ~model:Corruption.Static ~budget:5))
+    (List.length (Capability.validate decl ~model:Corruption.Static ~budget:5))
 
 (* A two-round flood protocol, small enough to exercise engine-level
    capability refusal. *)
@@ -327,8 +342,8 @@ let inconsistent_adversary () =
     setup = (fun _ ~n:_ ~budget:_ ~rng:_ -> []);
     intervene = (fun _ -> []) }
 
-let run_flood ?on_caps_mismatch adversary =
-  Engine.run ?on_caps_mismatch flood ~adversary ~n:5 ~budget:1
+let run_flood adversary =
+  Engine.run flood ~adversary ~n:5 ~budget:1
     ~inputs:[| true; true; true; false; false |]
     ~max_rounds:5 ~seed:1L
 
@@ -336,11 +351,6 @@ let test_engine_refuses_inconsistent_caps () =
   match run_flood (inconsistent_adversary ()) with
   | _ -> Alcotest.fail "expected Illegal_action before round 0"
   | exception Engine.Illegal_action _ -> ()
-
-let test_engine_warns_when_lenient () =
-  (* `Warn runs the execution to completion. *)
-  let result = run_flood ~on_caps_mismatch:`Warn (inconsistent_adversary ()) in
-  Alcotest.(check bool) "all decided" true result.Engine.all_honest_decided
 
 let test_engine_requires_declared_cap () =
   (* A consistent declaration that omits Midround_corruption: the model
@@ -418,7 +428,11 @@ let roundtrip_tests =
 let test_legacy_fixture_lints_clean () =
   (* A committed pre-causal trace: the file mode parses it with the
      sentinel defaults and the invariant verifier finds nothing. *)
-  let events = Bacheck.Trace_lint.load_jsonl "fixtures/legacy_e1_trace.jsonl" in
+  let events =
+    Trace.events_of_jsonl
+      (In_channel.with_open_bin "fixtures/legacy_e1_trace.jsonl"
+         In_channel.input_all)
+  in
   Alcotest.(check bool) "fixture nonempty" true (List.length events > 0);
   List.iter
     (fun e ->
@@ -649,7 +663,9 @@ let () =
             test_neg_injection_from_honest;
           Alcotest.test_case "round mismatch" `Quick test_neg_round_mismatch;
           Alcotest.test_case "accounting mismatch" `Slow
-            test_neg_accounting_mismatch ] );
+            test_neg_accounting_mismatch;
+          Alcotest.test_case "moved multicast cell" `Quick
+            test_neg_moved_multicast_cell ] );
       ( "capabilities",
         [ Alcotest.test_case "eraser vs models" `Quick test_caps_eraser_models;
           Alcotest.test_case "midround vs static" `Quick
@@ -658,8 +674,6 @@ let () =
             test_caps_bound_exceeds_budget;
           Alcotest.test_case "engine refuses mismatch" `Quick
             test_engine_refuses_inconsistent_caps;
-          Alcotest.test_case "lenient mode warns" `Quick
-            test_engine_warns_when_lenient;
           Alcotest.test_case "undeclared capability refused" `Quick
             test_engine_requires_declared_cap ] );
       ( "jsonl-roundtrip",

@@ -150,18 +150,29 @@ let check_trace_matches_metrics name (result : Engine.result) series jsonl =
     (replay_total Baobs.Series.Removal);
   Alcotest.(check int) (name ^ ": injections") (Metrics.injections m)
     (replay_total Baobs.Series.Injection);
-  let recorded =
+  let cells_of series =
     Baobs.Series.fold series
       (fun acc ~round ~node kind v ->
         if kind = Baobs.Series.Injection_bits then acc
         else cell_string (round, node, kind) v :: acc)
       []
+    |> List.sort String.compare
   in
+  let recorded = cells_of series in
   Alcotest.(check (list string))
     (name ^ ": series cells = trace replay")
     (List.sort String.compare
        (Hashtbl.fold (fun key v acc -> cell_string key v :: acc) replayed []))
-    (List.sort String.compare recorded)
+    recorded;
+  (* The library's replay (read by Report, Causal and Trace_lint) too. *)
+  let replay =
+    Metrics.of_events ~n:(Baobs.Series.n_nodes series)
+      (Trace.events_of_jsonl jsonl)
+  in
+  Alcotest.(check (list string)) (name ^ ": Metrics.of_events = series")
+    recorded (cells_of (Metrics.series replay));
+  Alcotest.(check int) (name ^ ": replayed rounds") (Metrics.rounds m)
+    (Metrics.rounds replay)
 
 let test_series_matches_metrics_e1 () =
   (* E1 scenario: strongly adaptive eraser vs sub-hm — exercises
@@ -482,6 +493,29 @@ let test_report_empty_trace () =
     (Baobs.Json.of_string
        (Baobs.Json.to_string (Baobs_report.Report.to_json report))
     = Baobs_report.Report.to_json report)
+
+(* An unlabeled honest send of 8 bits. *)
+let send round node multicast recipients =
+  Trace.Sent
+    { round; node; multicast; recipients; bits = 8; id = Trace.no_id;
+      kind = Trace.no_kind; targets = [] }
+
+let test_report_zero_recipient_row () =
+  (* A send to no one records no series cell; its round and its sender
+     still get a row. *)
+  let report =
+    Baobs_report.Report.of_events
+      [ Trace.Round_started { round = 0 }; send 0 0 true 3;
+        Trace.Round_started { round = 1 }; send 1 2 false 0;
+        Trace.Round_started { round = 2 };
+        Trace.Halted { round = 2; node = 1; output = Some true } ]
+  in
+  Alcotest.(check (list int)) "round rows" [ 0; 1; 2 ]
+    (List.map fst (Baobs_report.Report.rounds report));
+  Alcotest.(check (list int)) "node rows" [ 0; 1; 2 ]
+    (List.map fst (Baobs_report.Report.nodes report));
+  Alcotest.(check bool) "consistent" true
+    (Baobs_report.Report.check report = Ok ())
 
 (* --- Sink path validation --------------------------------------------------- *)
 
@@ -1034,6 +1068,54 @@ let test_causal_legacy_fixture_replay () =
   Alcotest.(check bool) "legacy targeted sends flagged approximate" true
     (Baobs_report.Causal.approx_messages b > 0)
 
+(* [text] with its [i]-th event (from 0; -1 is the last) rewritten. *)
+let edit_event text i f =
+  let lines = List.filter (( <> ) "") (String.split_on_char '\n' text) in
+  let i = if i < 0 then List.length lines + i else i in
+  String.concat "\n"
+    (List.mapi
+       (fun k l ->
+         if k <> i then l
+         else
+           Baobs.Json.to_string
+             (Trace.to_json (f (Trace.of_json (Baobs.Json.of_string l)))))
+       lines)
+  ^ "\n"
+
+let refused what expected f =
+  match f () with
+  | _ -> Alcotest.fail (what ^ " accepted")
+  | exception Baobs.Json.Parse_error e -> Alcotest.(check string) what expected e
+
+let test_causal_inferred_n () =
+  (* Without -n the node count is the multicasts' recipient count, so a
+     forged id is an out-of-range error, not a 200001-node grid. *)
+  let forged =
+    edit_event (read_file "fixtures/legacy_e1_trace.jsonl") (-1) (function
+      | Trace.Halted h -> Trace.Halted { h with node = 200000 }
+      | _ -> Alcotest.fail "the fixture ends with a halt")
+  in
+  refused "forged id" "event 26 (halted): node 200000 outside [0, 9)"
+    (fun () -> Baobs_report.Causal.of_jsonl_string forged);
+  (* Report sizes nothing from ids: the same trace still reads. *)
+  Alcotest.(check int) "report reads it" 26
+    (Baobs_report.Report.event_count
+       (Baobs_report.Report.of_jsonl_string forged));
+  let no_multicast =
+    [ Trace.Round_started { round = 0 };
+      Trace.Halted { round = 0; node = 2; output = None } ]
+  in
+  refused "no multicast"
+    "no multicast in the trace to infer the node count from; pass -n"
+    (fun () -> Baobs_report.Causal.of_events no_multicast);
+  Alcotest.(check int) "explicit n" 4
+    (Baobs_report.Causal.n (Baobs_report.Causal.of_events ~n:4 no_multicast));
+  refused "disagreeing multicasts"
+    "event 3 (sent): multicast to 5 recipients, earlier multicasts to 3"
+    (fun () ->
+      Baobs_report.Causal.of_events
+        [ Trace.Round_started { round = 0 }; send 0 0 true 3; send 0 0 true 5 ])
+
 (* A trace cut off mid-line (a crashed or interrupted writer) must be
    reported with the line it broke on, by both JSONL readers. *)
 let test_truncated_trace_names_line () =
@@ -1140,9 +1222,31 @@ let trace_readers =
          (Bacheck.Trace_lint.verify ~model:Corruption.Adaptive ~budget:3
             (Trace.events_of_jsonl t))) ]
 
+let json_reader name read = (name, fun t -> ignore (read (Baobs.Json.of_string t)))
+
 let resource_readers =
-  [ ("Resource.report_of_json",
-     fun t -> ignore (Baobs.Resource.report_of_json (Baobs.Json.of_string t))) ]
+  [ json_reader "Resource.report_of_json" Baobs.Resource.report_of_json ]
+
+let fuzz_bench =
+  lazy
+    (Baobs.Json.to_string
+       (bench_json [ ("ba/crypto/sha256", Some 120.5); ("ba/e2/sub-hm", None) ]))
+
+let bench_readers =
+  let base () = Baobs.Json.of_string (Lazy.force fuzz_bench) in
+  [ json_reader "Bench_compare.results_of_json"
+      Baobs.Bench_compare.results_of_json;
+    json_reader "Bench_compare.diff" (fun j ->
+        Baobs.Bench_compare.diff ~base:(base ()) ~current:j ()) ]
+
+let fuzz_summary =
+  lazy
+    (Baobs.Json.to_string
+       (Baobs_report.Causal.to_json
+          (Baobs_report.Causal.of_jsonl_string (Lazy.force fuzz_trace))))
+
+let summary_readers =
+  [ json_reader "Causal.summary_of_json" Baobs_report.Causal.summary_of_json ]
 
 (* [true] when every reader returns or raises [Json.Parse_error]. *)
 let readers_survive readers text =
@@ -1170,6 +1274,14 @@ let mutate_trace text ~line ~member ~value =
 
 let reader_fuzz_tests =
   let arb = QCheck.(quad (int_bound 100_000) small_nat small_nat small_nat) in
+  let doc_fuzz name doc readers =
+    QCheck.Test.make ~name ~count:300 arb (fun (cut, _, member, value) ->
+        let doc = Lazy.force doc in
+        readers_survive readers (truncate doc cut)
+        && readers_survive readers
+             (Baobs.Json.to_string
+                (mutate_json (Baobs.Json.of_string doc) ~member ~value)))
+  in
   [ QCheck.Test.make ~name:"trace readers: truncated fixture" ~count:300 arb
       (fun (cut, _, _, _) ->
         readers_survive trace_readers (truncate (Lazy.force fuzz_trace) cut));
@@ -1177,14 +1289,20 @@ let reader_fuzz_tests =
       (fun (_, line, member, value) ->
         readers_survive trace_readers
           (mutate_trace (Lazy.force fuzz_trace) ~line ~member ~value));
-    QCheck.Test.make ~name:"resource reader: truncated or mutated" ~count:300
-      arb
-      (fun (cut, _, member, value) ->
-        let doc = Lazy.force fuzz_resource in
-        readers_survive resource_readers (truncate doc cut)
-        && readers_survive resource_readers
-             (Baobs.Json.to_string
-                (mutate_json (Baobs.Json.of_string doc) ~member ~value))) ]
+    doc_fuzz "resource reader: truncated or mutated" fuzz_resource
+      resource_readers;
+    doc_fuzz "bench readers: truncated or mutated" fuzz_bench bench_readers;
+    doc_fuzz "causal summary: cut or mutated" fuzz_summary summary_readers ]
+
+(* A well-formed line can still name a round no run reached; the report
+   refuses it before sizing its per-round series from it. *)
+let test_report_forged_round () =
+  refused "forged round" "event 9 (sent): round 700000000 outside [-1, 1]"
+    (fun () ->
+      Baobs_report.Report.of_jsonl_string
+        (edit_event (Lazy.force fuzz_trace) 8 (function
+          | Trace.Sent e -> Trace.Sent { e with round = 700000000 }
+          | _ -> Alcotest.fail "event 9 of the fixture is a send")))
 
 let test_causal_off_byte_identity () =
   (* Re-run the committed fixture's exact configuration on today's
@@ -1324,7 +1442,9 @@ let () =
             test_report_reproduces_metrics_e1;
           Alcotest.test_case "exports" `Quick test_report_exports;
           Alcotest.test_case "empty trace" `Quick test_report_empty_trace;
-          Alcotest.test_case "rounds window" `Quick test_report_rounds_window ]
+          Alcotest.test_case "rounds window" `Quick test_report_rounds_window;
+          Alcotest.test_case "zero-recipient send keeps its row" `Quick
+            test_report_zero_recipient_row ]
       );
       ( "resource",
         [ Alcotest.test_case "delta nonnegative" `Quick
@@ -1341,7 +1461,9 @@ let () =
       ( "reader-fuzz",
         List.map
           (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xf022 |]))
-          reader_fuzz_tests );
+          reader_fuzz_tests
+        @ [ Alcotest.test_case "report refuses a forged round" `Quick
+              test_report_forged_round ] );
       ( "sink-path",
         [ Alcotest.test_case "validate_path" `Quick test_validate_path ] );
       ( "series",
@@ -1367,6 +1489,8 @@ let () =
              test_causal_e8_takeover_all_decisions_tainted
         :: Alcotest.test_case "legacy fixture replay" `Quick
              test_causal_legacy_fixture_replay
+        :: Alcotest.test_case "inferred n ignores forged ids" `Quick
+             test_causal_inferred_n
         :: Alcotest.test_case "truncated trace names the line" `Quick
              test_truncated_trace_names_line
         :: Alcotest.test_case "recording off is byte-identical" `Quick
